@@ -306,13 +306,14 @@ func OpenCluster(primary Options, replicas int) (*Cluster, error) {
 // writeGuard is the write-admission hook for a database that is not the
 // primary (a replica, or a primary being fenced for switchover),
 // consulted by the lock table on every exclusive intent: the replication
-// applier passes (applying is set around each applied op),
-// session-private relations pass (temporaries and adopted planner
-// outputs, registered in localRes), everything else is a client write and
-// is refused with the cluster's typed not-primary error.
-func writeGuard(db *Database) func(res uint64) error {
-	return func(res uint64) error {
-		if db.applying.Load() {
+// applier passes (its calls carry applyContext — a capability of the
+// call, so no concurrent client write can borrow it), session-private
+// relations pass (temporaries and adopted planner outputs, registered in
+// localRes), everything else is a client write and is refused with the
+// cluster's typed not-primary error.
+func writeGuard(db *Database) func(ctx context.Context, res uint64) error {
+	return func(ctx context.Context, res uint64) error {
+		if db.isApply(ctx) {
 			return nil
 		}
 		if _, ok := db.localRes.Load(res); ok {
@@ -499,23 +500,22 @@ func (c *Cluster) admitOp(r *clusterReplica) bool {
 
 // apply replays one logical op through the replica's own public mutation
 // path — the same locking, index maintenance and rewrite code the
-// primary ran — with the applying flag raised so the read-only guard
-// admits it. Determinism of each operation makes replay byte-exact.
+// primary ran — under applyContext, so the read-only guard admits it.
+// Determinism of each operation makes replay byte-exact.
 func (r *clusterReplica) apply(op shipOp) error {
 	db := r.db
-	db.applying.Store(true)
-	defer db.applying.Store(false)
 	switch op.kind {
 	case opCreateRelation:
-		_, err := db.CreateRelation(op.rel, op.schema)
+		_, err := db.createRelation(applyContext(db), op.rel, op.schema)
 		return err
 	case opDropRelation:
-		return db.DropRelation(op.rel)
+		return db.dropRelation(applyContext(db), op.rel)
 	}
 	rel, err := db.Relation(op.rel)
 	if err != nil {
 		return err
 	}
+	rel.applier = true
 	switch op.kind {
 	case opInsert:
 		return rel.InsertTuple(op.tuple)
@@ -995,10 +995,9 @@ func (c *Cluster) Rejoin(ctx context.Context) error {
 	}
 	db := dn.db
 
-	// Scrub the node's possibly-diverged durable state. The applying
-	// flag passes its own write guard; its ship hook is nil, so nothing
+	// Scrub the node's possibly-diverged durable state. applyContext
+	// passes its own write guard; its ship hook is nil, so nothing
 	// replicates.
-	db.applying.Store(true)
 	for _, name := range db.cat.Names() {
 		if isTempRelation(name) {
 			continue
@@ -1006,12 +1005,10 @@ func (c *Cluster) Rejoin(ctx context.Context) error {
 		if _, ok := db.localRes.Load(catalog.ResourceID(name)); ok {
 			continue
 		}
-		if err := db.DropRelation(name); err != nil {
-			db.applying.Store(false)
+		if err := db.dropRelation(applyContext(db), name); err != nil {
 			return fmt.Errorf("mmdb: rejoin: scrubbing %q: %w", name, err)
 		}
 	}
-	db.applying.Store(false)
 
 	// Register the parked link first: every op enqueued from here on is
 	// buffered for the applier, so nothing between registration and the
@@ -1086,8 +1083,6 @@ func (c *Cluster) Rejoin(ctx context.Context) error {
 // duration (Rejoin holds shared intents on src; dst is the detached down
 // node).
 func (c *Cluster) copyRelations(src, dst *Database, names []string) error {
-	dst.applying.Store(true)
-	defer dst.applying.Store(false)
 	for _, name := range names {
 		srel, err := src.cat.Get(name)
 		if err != nil {
@@ -1101,7 +1096,7 @@ func (c *Cluster) copyRelations(src, dst *Database, names []string) error {
 		}); err != nil {
 			return err
 		}
-		drel, err := dst.CreateRelation(name, schema)
+		drel, err := dst.createRelation(applyContext(dst), name, schema)
 		if err != nil {
 			return err
 		}

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"mmdb/internal/lock"
 )
 
 // failoverCtx is the generous deadline the switchover tests run under.
@@ -558,5 +560,50 @@ func TestRoutingFallbacks(t *testing.T) {
 	waitCaughtUp(t, c)
 	if err := c.VerifyReplicas(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFailoverRefusesWriterQueuedPastFence: a client write that passed
+// the old primary's guard before a Failover fenced it, and was still
+// queued on its relation lock when the failover flipped, must be refused
+// when it finally runs — the demoted primary no longer ships, so
+// acknowledging the write would lose it.
+func TestFailoverRefusesWriterQueuedPastFence(t *testing.T) {
+	ctx := failoverCtx(t)
+	c, err := OpenCluster(Options{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	old := c.Primary()
+	rel, err := old.CreateRelation("queued", MustSchema(Field{Name: "id", Kind: Int64}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	unlock, err := old.lockRelations(ctx, lock.Exclusive, "queued")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrote := make(chan error, 1)
+	go func() { wrote <- rel.Insert(IntValue(1)) }()
+	for {
+		if pending, _ := old.locks.ExclusiveInFlight(); pending == 1 {
+			break
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+	if _, err := c.Failover(ctx); err != nil {
+		t.Fatal(err)
+	}
+	unlock()
+	if err := <-wrote; !errors.Is(err, ErrNotPrimary) {
+		t.Fatalf("queued write on the failed-over primary: %v, want ErrNotPrimary", err)
+	}
+	nrel, err := c.Primary().Relation("queued")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := nrel.NumTuples(); n != 0 {
+		t.Fatalf("new primary holds %d rows of a refused write", n)
 	}
 }

@@ -350,3 +350,59 @@ func TestReplSessionOptionsOnReadMethods(t *testing.T) {
 		t.Fatal("default-preference cluster read missed the primary")
 	}
 }
+
+// TestReplicaFenceRefusesClientWritesDuringApply: a replica's applier
+// replays the primary's stream while a client writes to the replica
+// directly. Every client write must be refused — the applier's admission
+// is its own, not a window any writer can slip through — and the replica
+// must end byte-identical to the primary.
+func TestReplicaFenceRefusesClientWritesDuringApply(t *testing.T) {
+	c, err := OpenCluster(Options{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	prim, err := c.Primary().CreateRelation("fence", MustSchema(
+		Field{Name: "id", Kind: Int64}, Field{Name: "v", Kind: Int64}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitCaughtUp(t, c)
+	rep, err := c.Replica(0).Relation("fence")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rows = 3000
+	stop, finished := make(chan struct{}), make(chan struct{})
+	admitted := 0
+	go func() {
+		defer close(finished)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := rep.Insert(IntValue(int64(-1-i)), IntValue(0)); err == nil {
+				admitted++
+			} else if !errors.Is(err, ErrReadOnlyReplica) {
+				t.Errorf("replica write refused with %v, want ErrReadOnlyReplica", err)
+				return
+			}
+		}
+	}()
+	for i := 0; i < rows; i++ {
+		if err := prim.Insert(IntValue(int64(i)), IntValue(1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	<-finished
+	if admitted != 0 {
+		t.Errorf("replica admitted %d client writes during apply", admitted)
+	}
+	waitCaughtUp(t, c)
+	if err := c.VerifyReplicas(); err != nil {
+		t.Fatal(err)
+	}
+}

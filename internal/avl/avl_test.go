@@ -22,6 +22,43 @@ func tup(k int64) tuple.Tuple {
 	return tuple.Tuple(key(k))
 }
 
+func search(tr *Tree, k []byte) []tuple.Tuple {
+	got, _ := tr.Search(k, nil)
+	return got
+}
+
+// TestConcurrentSearchComparisons runs lookups from two goroutines (the
+// shared-intent read pattern) and checks that Comparisons is exactly the
+// sum of the per-call counts; under -race it also proves readers share no
+// plain counter.
+func TestConcurrentSearchComparisons(t *testing.T) {
+	tr := &Tree{}
+	const n = 500
+	for k := int64(0); k < n; k++ {
+		tr.Insert(key(k), tup(k))
+	}
+	tr.ResetComparisons()
+	var sums [2]int64
+	done := make(chan int)
+	for g := range sums {
+		go func() {
+			for i := int64(0); i < 2000; i++ {
+				got, c := tr.Search(key((i*7+int64(g))%n), nil)
+				if len(got) != 1 || c <= 0 {
+					t.Errorf("search: %d tuples, %d comparisons", len(got), c)
+				}
+				sums[g] += c
+			}
+			done <- g
+		}()
+	}
+	<-done
+	<-done
+	if got := tr.Comparisons(); got != sums[0]+sums[1] {
+		t.Fatalf("Comparisons() = %d, per-call sum %d", got, sums[0]+sums[1])
+	}
+}
+
 func TestInsertSearchDelete(t *testing.T) {
 	tr := &Tree{}
 	for i := int64(0); i < 100; i++ {
@@ -33,10 +70,10 @@ func TestInsertSearchDelete(t *testing.T) {
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.Search(key(42), nil); len(got) != 1 || !bytes.Equal(got[0], tup(42)) {
+	if got, _ := tr.Search(key(42), nil); len(got) != 1 || !bytes.Equal(got[0], tup(42)) {
 		t.Fatalf("search(42) = %v", got)
 	}
-	if got := tr.Search(key(1000), nil); got != nil {
+	if got, _ := tr.Search(key(1000), nil); got != nil {
 		t.Fatalf("search(missing) = %v", got)
 	}
 	if !tr.Delete(key(42)) {
@@ -45,7 +82,7 @@ func TestInsertSearchDelete(t *testing.T) {
 	if tr.Delete(key(42)) {
 		t.Fatal("double delete succeeded")
 	}
-	if got := tr.Search(key(42), nil); got != nil {
+	if got, _ := tr.Search(key(42), nil); got != nil {
 		t.Fatal("deleted key still found")
 	}
 	if err := tr.CheckInvariants(); err != nil {
@@ -61,7 +98,7 @@ func TestDuplicateKeysChain(t *testing.T) {
 	if tr.Len() != 1 || tr.NumTuples() != 5 {
 		t.Fatalf("len=%d tuples=%d", tr.Len(), tr.NumTuples())
 	}
-	if got := tr.Search(key(7), nil); len(got) != 5 {
+	if got, _ := tr.Search(key(7), nil); len(got) != 5 {
 		t.Fatalf("found %d duplicates", len(got))
 	}
 	if !tr.Delete(key(7)) || tr.NumTuples() != 0 {
@@ -182,7 +219,7 @@ func TestQuickRandomOpsMatchMapOracle(t *testing.T) {
 		// traversal sorted.
 		total := 0
 		for k, n := range oracle {
-			if got := len(tr.Search(key(k), nil)); got != n {
+			if got := len(search(tr, key(k))); got != n {
 				return false
 			}
 			total += n

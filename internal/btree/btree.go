@@ -13,6 +13,7 @@ package btree
 import (
 	"bytes"
 	"fmt"
+	"sync/atomic"
 
 	"mmdb/internal/page"
 	"mmdb/internal/tuple"
@@ -101,7 +102,7 @@ type Tree struct {
 	leaves    int
 	interiors int
 	nextPage  NodeID
-	comps     int64
+	comps     atomic.Int64 // sum of every call's comparison count
 }
 
 // New creates an empty tree.
@@ -139,11 +140,13 @@ func (t *Tree) NumPages() int { return t.leaves + t.interiors }
 func (t *Tree) Height() int { return t.height }
 
 // Comparisons returns the number of key comparisons since construction or
-// the last ResetComparisons.
-func (t *Tree) Comparisons() int64 { return t.comps }
+// the last ResetComparisons: the sum of the per-call counts. Each call
+// counts into its own local and adds it here once, so concurrent readers
+// never share a plain counter.
+func (t *Tree) Comparisons() int64 { return t.comps.Load() }
 
 // ResetComparisons zeroes the comparison counter.
-func (t *Tree) ResetComparisons() { t.comps = 0 }
+func (t *Tree) ResetComparisons() { t.comps.Store(0) }
 
 func (t *Tree) newLeaf() *leaf {
 	t.leaves++
@@ -159,8 +162,9 @@ func (t *Tree) newInterior() *interior {
 	return &interior{id: id}
 }
 
-func (t *Tree) compare(a, b []byte) int {
-	t.comps++
+// compare orders two keys, counting the comparison into the caller's n.
+func compare(a, b []byte, n *int64) int {
+	*n++
 	return bytes.Compare(a, b)
 }
 
@@ -181,7 +185,9 @@ func (t *Tree) Insert(key []byte, tup tuple.Tuple) {
 		t.tuples = 1
 		return
 	}
-	split, sepKey := t.insert(t.root, key, tup)
+	var n int64
+	split, sepKey := t.insert(t.root, key, tup, &n)
+	t.comps.Add(n)
 	t.tuples++
 	if split != nil {
 		r := t.newInterior()
@@ -194,10 +200,10 @@ func (t *Tree) Insert(key []byte, tup tuple.Tuple) {
 
 // insert descends to the leaf, inserting; on split it returns the new right
 // sibling and the separator key (smallest key of the right sibling).
-func (t *Tree) insert(n treeNode, key []byte, tup tuple.Tuple) (treeNode, []byte) {
+func (t *Tree) insert(n treeNode, key []byte, tup tuple.Tuple, comps *int64) (treeNode, []byte) {
 	switch n := n.(type) {
 	case *leaf:
-		i := t.searchKeys(n.keys, key, false)
+		i := searchKeys(n.keys, key, false, comps)
 		n.keys = append(n.keys, nil)
 		copy(n.keys[i+1:], n.keys[i:])
 		n.keys[i] = append([]byte(nil), key...)
@@ -217,8 +223,8 @@ func (t *Tree) insert(n treeNode, key []byte, tup tuple.Tuple) (treeNode, []byte
 		n.next = right
 		return right, right.keys[0]
 	case *interior:
-		ci := t.childIndex(n, key)
-		split, sepKey := t.insert(n.children[ci], key, tup)
+		ci := childIndex(n, key, comps)
+		split, sepKey := t.insert(n.children[ci], key, tup, comps)
 		if split == nil {
 			return nil, nil
 		}
@@ -246,12 +252,12 @@ func (t *Tree) insert(n treeNode, key []byte, tup tuple.Tuple) (treeNode, []byte
 
 // searchKeys binary-searches keys for key. With lower=true it returns the
 // first index i with keys[i] >= key; otherwise the first i with
-// keys[i] > key. Comparisons are counted.
-func (t *Tree) searchKeys(keys [][]byte, key []byte, lower bool) int {
+// keys[i] > key. Comparisons are counted into comps.
+func searchKeys(keys [][]byte, key []byte, lower bool, comps *int64) int {
 	lo, hi := 0, len(keys)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		c := t.compare(keys[mid], key)
+		c := compare(keys[mid], key, comps)
 		if c < 0 || (!lower && c == 0) {
 			lo = mid + 1
 		} else {
@@ -264,15 +270,17 @@ func (t *Tree) searchKeys(keys [][]byte, key []byte, lower bool) int {
 // childIndex returns which child of n covers key. Keys equal to a separator
 // descend left; searches compensate by scanning forward along the leaf
 // chain, so duplicates that straddle a split are still found.
-func (t *Tree) childIndex(n *interior, key []byte) int {
-	return t.searchKeys(n.keys, key, true)
+func childIndex(n *interior, key []byte, comps *int64) int {
+	return searchKeys(n.keys, key, true, comps)
 }
 
-// Search returns all tuples stored under key. Each inspected page is
-// reported to visit (which may be nil).
-func (t *Tree) Search(key []byte, visit VisitFunc) []tuple.Tuple {
+// Search returns all tuples stored under key and the key comparisons this
+// call made (descent plus leaf). Each inspected page is reported to visit
+// (which may be nil).
+func (t *Tree) Search(key []byte, visit VisitFunc) (out []tuple.Tuple, comps int64) {
+	defer func() { t.comps.Add(comps) }()
 	if t.root == nil {
-		return nil
+		return nil, 0
 	}
 	n := t.root
 	for {
@@ -283,20 +291,19 @@ func (t *Tree) Search(key []byte, visit VisitFunc) []tuple.Tuple {
 		if !ok {
 			break
 		}
-		n = in.children[t.childIndex(in, key)]
+		n = in.children[childIndex(in, key, &comps)]
 	}
 	l := n.(*leaf)
-	var out []tuple.Tuple
-	i := t.searchKeys(l.keys, key, true)
+	i := searchKeys(l.keys, key, true, &comps)
 	for {
 		for ; i < len(l.keys); i++ {
-			if t.compare(l.keys[i], key) != 0 {
-				return out
+			if compare(l.keys[i], key, &comps) != 0 {
+				return out, comps
 			}
 			out = append(out, l.tups[i])
 		}
 		if l.next == nil {
-			return out
+			return out, comps
 		}
 		l = l.next
 		if visit != nil {
@@ -307,11 +314,13 @@ func (t *Tree) Search(key []byte, visit VisitFunc) []tuple.Tuple {
 }
 
 // AscendRange walks tuples with key >= start in key order, calling fn until
-// it returns false. A nil start walks from the smallest key. Each touched
-// page (descent path plus every leaf visited) is reported to visit.
-func (t *Tree) AscendRange(start []byte, visit VisitFunc, fn func(key []byte, tup tuple.Tuple) bool) {
+// it returns false, and returns the key comparisons its descent to start
+// made. A nil start walks from the smallest key. Each touched page
+// (descent path plus every leaf visited) is reported to visit.
+func (t *Tree) AscendRange(start []byte, visit VisitFunc, fn func(key []byte, tup tuple.Tuple) bool) (comps int64) {
+	defer func() { t.comps.Add(comps) }()
 	if t.root == nil {
-		return
+		return 0
 	}
 	n := t.root
 	for {
@@ -325,22 +334,22 @@ func (t *Tree) AscendRange(start []byte, visit VisitFunc, fn func(key []byte, tu
 		if start == nil {
 			n = in.children[0]
 		} else {
-			n = in.children[t.childIndex(in, start)]
+			n = in.children[childIndex(in, start, &comps)]
 		}
 	}
 	l := n.(*leaf)
 	i := 0
 	if start != nil {
-		i = t.searchKeys(l.keys, start, true)
+		i = searchKeys(l.keys, start, true, &comps)
 	}
 	for {
 		for ; i < len(l.keys); i++ {
 			if !fn(l.keys[i], l.tups[i]) {
-				return
+				return comps
 			}
 		}
 		if l.next == nil {
-			return
+			return comps
 		}
 		l = l.next
 		if visit != nil {
@@ -357,19 +366,21 @@ func (t *Tree) Delete(key []byte) int {
 	if t.root == nil {
 		return 0
 	}
+	var comps int64
+	defer func() { t.comps.Add(comps) }()
 	n := t.root
 	for {
 		in, ok := n.(*interior)
 		if !ok {
 			break
 		}
-		n = in.children[t.childIndex(in, key)]
+		n = in.children[childIndex(in, key, &comps)]
 	}
 	removed := 0
 	for l := n.(*leaf); l != nil; l = l.next {
-		i := t.searchKeys(l.keys, key, true)
+		i := searchKeys(l.keys, key, true, &comps)
 		j := i
-		for j < len(l.keys) && t.compare(l.keys[j], key) == 0 {
+		for j < len(l.keys) && compare(l.keys[j], key, &comps) == 0 {
 			j++
 		}
 		if j > i {

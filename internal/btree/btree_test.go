@@ -30,6 +30,43 @@ func tup(k, v int64) tuple.Tuple {
 	return t
 }
 
+func search(tr *Tree, k []byte) []tuple.Tuple {
+	got, _ := tr.Search(k, nil)
+	return got
+}
+
+// TestConcurrentSearchComparisons runs lookups from two goroutines (the
+// shared-intent read pattern) and checks that Comparisons is exactly the
+// sum of the per-call counts; under -race it also proves readers share no
+// plain counter.
+func TestConcurrentSearchComparisons(t *testing.T) {
+	tr := MustNew(smallConfig())
+	const n = 500
+	for k := int64(0); k < n; k++ {
+		tr.Insert(key(k), tup(k, k))
+	}
+	tr.ResetComparisons()
+	var sums [2]int64
+	done := make(chan int)
+	for g := range sums {
+		go func() {
+			for i := int64(0); i < 2000; i++ {
+				got, c := tr.Search(key((i*7+int64(g))%n), nil)
+				if len(got) != 1 || c <= 0 {
+					t.Errorf("search: %d tuples, %d comparisons", len(got), c)
+				}
+				sums[g] += c
+			}
+			done <- g
+		}()
+	}
+	<-done
+	<-done
+	if got := tr.Comparisons(); got != sums[0]+sums[1] {
+		t.Fatalf("Comparisons() = %d, per-call sum %d", got, sums[0]+sums[1])
+	}
+}
+
 func TestGeometry(t *testing.T) {
 	cfg := smallConfig()
 	if cfg.Fanout() != 256/12 {
@@ -59,12 +96,12 @@ func TestInsertSearch(t *testing.T) {
 	}
 	for i := 0; i < 200; i++ {
 		k := int64(rng.Intn(n))
-		got := tr.Search(key(k), nil)
+		got, _ := tr.Search(key(k), nil)
 		if len(got) != 1 || !bytes.Equal(got[0], tup(k, k*10)) {
 			t.Fatalf("search(%d) = %v", k, got)
 		}
 	}
-	if got := tr.Search(key(n+5), nil); got != nil {
+	if got, _ := tr.Search(key(n+5), nil); got != nil {
 		t.Fatal("found a missing key")
 	}
 }
@@ -88,7 +125,7 @@ func TestDuplicatesAcrossSplits(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k, n := range counts {
-		if got := len(tr.Search(key(k), nil)); got != n {
+		if got := len(search(tr, key(k))); got != n {
 			t.Fatalf("key %d: found %d of %d duplicates", k, got, n)
 		}
 	}
@@ -98,10 +135,10 @@ func TestDuplicatesAcrossSplits(t *testing.T) {
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.Search(key(3), nil); got != nil {
+	if got, _ := tr.Search(key(3), nil); got != nil {
 		t.Fatal("deleted duplicates still found")
 	}
-	if got := len(tr.Search(key(7), nil)); got != 25 {
+	if got := len(search(tr, key(7))); got != 25 {
 		t.Fatalf("unrelated key disturbed: %d", got)
 	}
 }
@@ -204,7 +241,7 @@ func TestBulkLoad(t *testing.T) {
 	}
 	for i := 0; i < 100; i++ {
 		k := int64(rand.New(rand.NewSource(int64(i))).Intn(n))
-		if got := tr.Search(key(k), nil); len(got) != 1 {
+		if got, _ := tr.Search(key(k), nil); len(got) != 1 {
 			t.Fatalf("bulk-loaded key %d: %d hits", k, len(got))
 		}
 	}
@@ -255,8 +292,8 @@ func TestQuickMatchesSortedOracle(t *testing.T) {
 		}
 		total := 0
 		for k, n := range oracle {
-			if got := len(tr.Search(key(k), nil)); got != n {
-				t.Logf("key %d: got %d want %d", k, len(tr.Search(key(k), nil)), n)
+			if got := len(search(tr, key(k))); got != n {
+				t.Logf("key %d: got %d want %d", k, len(search(tr, key(k))), n)
 				return false
 			}
 			total += n

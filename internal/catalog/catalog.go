@@ -38,11 +38,13 @@ type Index interface {
 	Kind() IndexKind
 	// Insert adds a tuple under its key.
 	Insert(key []byte, tup tuple.Tuple)
-	// Search returns the tuples stored under key.
-	Search(key []byte) []tuple.Tuple
+	// Search returns the tuples stored under key and the key comparisons
+	// the probe made.
+	Search(key []byte) ([]tuple.Tuple, int64)
 	// Ascend walks tuples with key >= start in order until fn returns
-	// false; nil start walks everything.
-	Ascend(start []byte, fn func(key []byte, tup tuple.Tuple) bool)
+	// false; nil start walks everything. It returns the key comparisons
+	// the walk's positioning made (fn's own work is the caller's).
+	Ascend(start []byte, fn func(key []byte, tup tuple.Tuple) bool) int64
 	// Len returns the number of indexed tuples.
 	Len() int
 }
@@ -53,11 +55,11 @@ func (b btreeIndex) Kind() IndexKind { return BTree }
 func (b btreeIndex) Insert(key []byte, tup tuple.Tuple) {
 	b.t.Insert(key, tup)
 }
-func (b btreeIndex) Search(key []byte) []tuple.Tuple {
+func (b btreeIndex) Search(key []byte) ([]tuple.Tuple, int64) {
 	return b.t.Search(key, nil)
 }
-func (b btreeIndex) Ascend(start []byte, fn func([]byte, tuple.Tuple) bool) {
-	b.t.AscendRange(start, nil, fn)
+func (b btreeIndex) Ascend(start []byte, fn func([]byte, tuple.Tuple) bool) int64 {
+	return b.t.AscendRange(start, nil, fn)
 }
 func (b btreeIndex) Len() int { return b.t.NumTuples() }
 
@@ -67,11 +69,11 @@ func (a avlIndex) Kind() IndexKind { return AVL }
 func (a avlIndex) Insert(key []byte, tup tuple.Tuple) {
 	a.t.Insert(key, tup)
 }
-func (a avlIndex) Search(key []byte) []tuple.Tuple {
+func (a avlIndex) Search(key []byte) ([]tuple.Tuple, int64) {
 	return a.t.Search(key, nil)
 }
-func (a avlIndex) Ascend(start []byte, fn func([]byte, tuple.Tuple) bool) {
-	a.t.Ascend(start, nil, func(key []byte, vals []tuple.Tuple) bool {
+func (a avlIndex) Ascend(start []byte, fn func([]byte, tuple.Tuple) bool) int64 {
+	return a.t.Ascend(start, nil, func(key []byte, vals []tuple.Tuple) bool {
 		for _, v := range vals {
 			if !fn(key, v) {
 				return false

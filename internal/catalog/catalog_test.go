@@ -87,8 +87,8 @@ func TestIndexesBothKinds(t *testing.T) {
 		})
 		for k, n := range counts {
 			probe := sc.MustEncode(tuple.IntValue(k), tuple.StringValue(""))
-			if got := len(ix.Search(sc.KeyBytes(probe, 0))); got != n {
-				t.Fatalf("%v: key %d found %d of %d", kind, k, got, n)
+			if got, _ := ix.Search(sc.KeyBytes(probe, 0)); len(got) != n {
+				t.Fatalf("%v: key %d found %d of %d", kind, k, len(got), n)
 			}
 		}
 		// Ascend covers everything in order.

@@ -75,13 +75,13 @@ type RecoveryScaleResult struct {
 	Config RecoveryScaleConfig `json:"config"`
 	Rows   []RecoveryScaleRow  `json:"rows"`
 
-	CommittedGrowth  float64 `json:"committed_growth"`  // top rung / bottom rung, compacted config
-	BaselineGrowth   float64 `json:"baseline_growth"`   // recovery-time ratio, baseline config
-	CompactedSpread  float64 `json:"compacted_spread"`  // max/min recovery time, compacted config
-	BaselineGrows    bool    `json:"baseline_grows"`
-	CompactedFlat    bool    `json:"compacted_flat"`
-	WidthsIdentical  bool    `json:"widths_identical"`
-	AllHold          bool    `json:"all_invariants_hold"`
+	CommittedGrowth float64 `json:"committed_growth"` // top rung / bottom rung, compacted config
+	BaselineGrowth  float64 `json:"baseline_growth"`  // recovery-time ratio, baseline config
+	CompactedSpread float64 `json:"compacted_spread"` // max/min recovery time, compacted config
+	BaselineGrows   bool    `json:"baseline_grows"`
+	CompactedFlat   bool    `json:"compacted_flat"`
+	WidthsIdentical bool    `json:"widths_identical"`
+	AllHold         bool    `json:"all_invariants_hold"`
 }
 
 // scaleEngine builds one rung's engine: a uniform debit/credit workload

@@ -158,6 +158,21 @@ func And(ps ...Predicate) Predicate {
 	return &and{kids: ps}
 }
 
+// Conjuncts returns the terms of p's top-level conjunction, nested ANDs
+// flattened in order; a predicate that is not an AND is its own single
+// conjunct.
+func Conjuncts(p Predicate) []Predicate {
+	a, ok := p.(*and)
+	if !ok {
+		return []Predicate{p}
+	}
+	var out []Predicate
+	for _, k := range a.kids {
+		out = append(out, Conjuncts(k)...)
+	}
+	return out
+}
+
 // Or disjoins predicates (false for none).
 func Or(ps ...Predicate) Predicate {
 	if len(ps) == 1 {

@@ -114,7 +114,7 @@ func TestParsePredicates(t *testing.T) {
 	}
 }
 
-// TestParseLiterals covers §2.4: negatives, floats, '' escapes, <> and
+// TestParseLiterals covers §2.4: negatives, floats, ” escapes, <> and
 // operator canonicalization.
 func TestParseLiterals(t *testing.T) {
 	s := mustSelect(t, "SELECT * FROM emp WHERE a = -5 AND b = 2.5 AND c = 'O''Brien' AND d <> -0.25")

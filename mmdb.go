@@ -311,14 +311,13 @@ type Database struct {
 	// intent; it may fail (a fenced or just-demoted primary), failing the
 	// mutating call. readOnly marks a replica database: exclusive intents
 	// are refused at the lock layer except for the replication applier
-	// (applying set around each applied op) and session-private
-	// temporaries (registered in localRes). Both are atomic because
-	// promotion flips them at runtime while sessions are live; cluster
-	// back-points to the owning Cluster so refusals can carry the current
-	// epoch and primary hint.
+	// (whose calls carry applyContext) and session-private temporaries
+	// (registered in localRes). Both are atomic because promotion flips
+	// them at runtime while sessions are live; cluster back-points to the
+	// owning Cluster so refusals can carry the current epoch and primary
+	// hint.
 	ship     atomic.Pointer[shipFn]
 	readOnly atomic.Bool
-	applying atomic.Bool
 	localRes sync.Map // resource id -> struct{}: replica-local relations
 	cluster  *Cluster // set once at OpenCluster, before any use
 }
@@ -454,15 +453,22 @@ func isTempRelation(name string) bool { return strings.HasPrefix(name, "sql.tmp.
 // mutation it takes an exclusive relation intent, so a fencing guard or
 // quiesce barrier sees creates too.
 func (db *Database) CreateRelation(name string, schema *Schema) (*Relation, error) {
+	return db.createRelation(context.Background(), name, schema)
+}
+
+// createRelation is CreateRelation under ctx, which may carry the
+// replication applier's write capability (applyContext); the returned
+// handle carries it on.
+func (db *Database) createRelation(ctx context.Context, name string, schema *Schema) (*Relation, error) {
 	if isTempRelation(name) {
 		// Session-private temporaries are always database-local: register
 		// before locking so a write-fenced database (replica, or a primary
 		// mid-promotion) still admits the exclusive intent.
 		db.localRes.Store(catalog.ResourceID(name), struct{}{})
-	} else if db.readOnly.Load() && !db.applying.Load() {
+	} else if db.readOnly.Load() && !db.isApply(ctx) {
 		return nil, db.writeRefused()
 	}
-	unlock, err := db.lockRelations(context.Background(), lock.Exclusive, name)
+	unlock, err := db.lockRelations(ctx, lock.Exclusive, name)
 	if err != nil {
 		return nil, err
 	}
@@ -471,11 +477,11 @@ func (db *Database) CreateRelation(name string, schema *Schema) (*Relation, erro
 	if err != nil {
 		return nil, err
 	}
-	if err := db.shipOp(shipOp{kind: opCreateRelation, rel: name, schema: schema}); err != nil {
+	if err := db.shipOp(db.isApply(ctx), shipOp{kind: opCreateRelation, rel: name, schema: schema}); err != nil {
 		_ = db.cat.Drop(name)
 		return nil, err
 	}
-	return &Relation{db: db, rel: r}, nil
+	return &Relation{db: db, rel: r, applier: db.isApply(ctx)}, nil
 }
 
 // Relation looks up an existing relation.
@@ -493,7 +499,13 @@ func (db *Database) Relations() []string { return db.cat.Names() }
 // DropRelation removes a relation and its storage, waiting for in-flight
 // queries over it to drain (an exclusive relation intent).
 func (db *Database) DropRelation(name string) error {
-	unlock, err := db.lockRelations(context.Background(), lock.Exclusive, name)
+	return db.dropRelation(context.Background(), name)
+}
+
+// dropRelation is DropRelation under ctx, which may carry the
+// replication applier's write capability (applyContext).
+func (db *Database) dropRelation(ctx context.Context, name string) error {
+	unlock, err := db.lockRelations(ctx, lock.Exclusive, name)
 	if err != nil {
 		return err
 	}
@@ -506,7 +518,7 @@ func (db *Database) DropRelation(name string) error {
 	if _, err := db.cat.Get(name); err != nil {
 		return err
 	}
-	if err := db.shipOp(shipOp{kind: opDropRelation, rel: name}); err != nil {
+	if err := db.shipOp(db.isApply(ctx), shipOp{kind: opDropRelation, rel: name}); err != nil {
 		return err
 	}
 	if err := db.cat.Drop(name); err != nil {
@@ -533,14 +545,23 @@ func (db *Database) adoptFile(f *heap.File) (*Relation, error) {
 
 // shipOp forwards a mutation to the cluster ship hook, if any. Temporaries
 // and local (adopted) relations stay local: every database — primary or
-// replica — materializes its own. A ship refusal (the database was fenced
-// or demoted mid-call) fails the mutation.
-func (db *Database) shipOp(op shipOp) error {
-	fn := db.ship.Load()
-	if fn == nil || isTempRelation(op.rel) {
+// replica — materializes its own, and the replication applier's own
+// writes never ship. A ship refusal (the database was fenced or demoted
+// mid-call) fails the mutation, and so does a client write reaching a
+// read-only cluster node with no hook: it passed the write guard before a
+// fence, and acknowledging it would lose it.
+func (db *Database) shipOp(applier bool, op shipOp) error {
+	if applier || isTempRelation(op.rel) {
 		return nil
 	}
 	if _, ok := db.localRes.Load(catalog.ResourceID(op.rel)); ok {
+		return nil
+	}
+	fn := db.ship.Load()
+	if fn == nil {
+		if db.cluster != nil && db.readOnly.Load() {
+			return db.writeRefused()
+		}
 		return nil
 	}
 	return (*fn)(op)
@@ -555,6 +576,23 @@ func (db *Database) writeRefused() error {
 		return c.notPrimaryErr()
 	}
 	return ErrReadOnlyReplica
+}
+
+// applyKey keys the replication applier's write capability in a context.
+type applyKey struct{}
+
+// applyContext returns the context the replication applier (and Rejoin's
+// scrub and copy) mutate db under: its exclusive intents pass db's
+// read-only guard. The capability belongs to the call that carries the
+// context, never to the database, so a concurrent client write cannot
+// slip through while the applier runs.
+func applyContext(db *Database) context.Context {
+	return context.WithValue(context.Background(), applyKey{}, db)
+}
+
+// isApply reports whether ctx carries the applier's capability for db.
+func (db *Database) isApply(ctx context.Context) bool {
+	return ctx.Value(applyKey{}) == db
 }
 
 // lockRelations takes a one-shot relation-level intent lock on every named

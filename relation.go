@@ -24,6 +24,9 @@ const (
 type Relation struct {
 	db  *Database
 	rel *catalog.Relation
+	// applier marks the replication applier's handle: its exclusive
+	// intents carry applyContext, so they pass a replica's write guard.
+	applier bool
 }
 
 // Name returns the relation name.
@@ -34,7 +37,11 @@ func (r *Relation) Name() string { return r.rel.Name }
 // loads and point operations interleave safely with admitted queries —
 // a query's shared intent holds off a concurrent Rewrite, and vice versa.
 func (r *Relation) withIntent(mode lock.Mode, fn func() error) error {
-	unlock, err := r.db.lockRelations(context.Background(), mode, r.Name())
+	ctx := context.Background()
+	if r.applier {
+		ctx = applyContext(r.db)
+	}
+	unlock, err := r.db.lockRelations(ctx, mode, r.Name())
 	if err != nil {
 		return err
 	}
@@ -77,7 +84,7 @@ func (r *Relation) InsertTuple(t Tuple) error {
 		// serialization order (likewise in every mutation below). A
 		// refused ship — this node was demoted mid-call — fails the
 		// statement: the write is not acknowledged.
-		return r.db.shipOp(shipOp{kind: opInsert, rel: r.Name(), tuple: t.Clone()})
+		return r.db.shipOp(r.applier, shipOp{kind: opInsert, rel: r.Name(), tuple: t.Clone()})
 	})
 }
 
@@ -87,7 +94,7 @@ func (r *Relation) Flush() error {
 		if err := r.rel.File.Flush(simio.Uncharged); err != nil {
 			return err
 		}
-		return r.db.shipOp(shipOp{kind: opFlush, rel: r.Name()})
+		return r.db.shipOp(r.applier, shipOp{kind: opFlush, rel: r.Name()})
 	})
 }
 
@@ -109,43 +116,34 @@ func (r *Relation) CreateIndex(column string, kind IndexKind) error {
 		if _, err := r.db.cat.BuildIndex(r.Name(), col, kind); err != nil {
 			return err
 		}
-		return r.db.shipOp(shipOp{kind: opIndex, rel: r.Name(), column: column, ixKind: kind})
+		return r.db.shipOp(r.applier, shipOp{kind: opIndex, rel: r.Name(), column: column, ixKind: kind})
 	})
 }
 
-// Lookup returns all rows whose column equals v, using an index when one
-// exists (charging comparisons per §2's cost model) and falling back to a
-// charged sequential scan otherwise.
+// Lookup returns copies of all rows whose column equals v, through the
+// same access path as SQL's `WHERE column = v`: an index probe charging
+// comparisons per §2's cost model when the column is indexed (and the
+// probe is cheaper), else a charged sequential scan.
 func (r *Relation) Lookup(column string, v Value) ([]Tuple, error) {
-	schema := r.Schema()
-	col := schema.FieldIndex(column)
+	eq, err := r.leaf(column, Eq, v)
+	if err != nil {
+		return nil, err
+	}
+	var out []Tuple
+	err = r.readWhere(eq, func(t Tuple) bool {
+		out = append(out, t.Clone())
+		return true
+	})
+	return out, err
+}
+
+// leaf builds the comparison column <op> v on this relation.
+func (r *Relation) leaf(column string, op CompareOp, v Value) (*expr.Comparison, error) {
+	col := r.Schema().FieldIndex(column)
 	if col < 0 {
 		return nil, fmt.Errorf("mmdb: relation %q has no column %q", r.Name(), column)
 	}
-	probe := make(Tuple, schema.Width())
-	if err := schema.Set(probe, col, v); err != nil {
-		return nil, err
-	}
-	key := schema.KeyBytes(probe, col)
-	var out []Tuple
-	err := r.withIntent(lock.Shared, func() error {
-		if ix, ok := r.rel.Index(col); ok {
-			out = ix.Search(key)
-			// Charge one comparison per level-equivalent; the indexes count
-			// their own comparisons internally for the Table 1 experiments,
-			// while engine-level lookups charge the clock here.
-			r.db.clock.Comps(int64(len(out) + 1))
-			return nil
-		}
-		return r.rel.File.Scan(simio.Seq, func(t tuple.Tuple) bool {
-			r.db.clock.Comps(1)
-			if schema.CompareField(t, probe, col) == 0 {
-				out = append(out, t.Clone())
-			}
-			return true
-		})
-	})
-	return out, err
+	return expr.NewComparison(r.Schema(), col, op, v)
 }
 
 // Delete removes every row whose column equals v, returning the count.
@@ -178,7 +176,7 @@ func (r *Relation) Delete(column string, v Value) (int64, error) {
 				return err
 			}
 		}
-		if err := r.db.shipOp(shipOp{kind: opDelete, rel: r.Name(), column: column, value: v}); err != nil {
+		if err := r.db.shipOp(r.applier, shipOp{kind: opDelete, rel: r.Name(), column: column, value: v}); err != nil {
 			removed = 0
 			return err
 		}
@@ -221,7 +219,7 @@ func (r *Relation) DeleteWhere(p *Pred) (int64, error) {
 		if p != nil {
 			inner = p.inner
 		}
-		if err := r.db.shipOp(shipOp{kind: opDeleteWhere, rel: r.Name(), pred: inner}); err != nil {
+		if err := r.db.shipOp(r.applier, shipOp{kind: opDeleteWhere, rel: r.Name(), pred: inner}); err != nil {
 			removed = 0
 			return err
 		}
@@ -270,7 +268,7 @@ func (r *Relation) Update(column string, v Value, setColumn string, newVal Value
 				return err
 			}
 		}
-		if err := r.db.shipOp(shipOp{
+		if err := r.db.shipOp(r.applier, shipOp{
 			kind: opUpdate, rel: r.Name(),
 			column: column, value: v,
 			setColumn: setColumn, newValue: newVal,
@@ -294,25 +292,23 @@ func (r *Relation) rebuildIndexes() error {
 }
 
 // AscendRange walks rows with column >= start in key order until fn
-// returns false, via the column's index.
+// returns false, via the column's index: the access path Select would
+// take for `column >= start`, forced to the index for its key order, and
+// charged the same way.
 func (r *Relation) AscendRange(column string, start Value, fn func(Tuple) bool) error {
-	schema := r.Schema()
-	col := schema.FieldIndex(column)
-	if col < 0 {
-		return fmt.Errorf("mmdb: relation %q has no column %q", r.Name(), column)
-	}
-	probe := make(Tuple, schema.Width())
-	if err := schema.Set(probe, col, start); err != nil {
+	ge, err := r.leaf(column, Ge, start)
+	if err != nil {
 		return err
 	}
 	return r.withIntent(lock.Shared, func() error {
-		ix, ok := r.rel.Index(col)
+		ix, ok := r.rel.Index(ge.Col)
 		if !ok {
 			return fmt.Errorf("mmdb: no index on %s.%s (range scans need one)", r.Name(), column)
 		}
-		ix.Ascend(schema.KeyBytes(probe, col), func(_ []byte, t tuple.Tuple) bool {
-			return fn(t)
-		})
-		return nil
+		// A constant with no order-preserving key leaves the walk
+		// unbounded; the predicate still filters every row exactly.
+		path, _ := indexRange(r.Schema(), ge.Col, []*expr.Comparison{ge})
+		path.ix = ix
+		return path.read(r.rel.File, ge, r.db.clock, fn)
 	})
 }

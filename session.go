@@ -320,30 +320,27 @@ func (s *Session) Distinct(relation, column string) ([]Value, error) {
 	return agg.Distinct(files[0], col, s.grant.Pages(), s.db.opts.Params.F, s.db.opts.Parallelism)
 }
 
-// Select scans the predicate's relation, streaming rows that satisfy p
-// to fn until it returns false — the short interactive lookup path, run
-// under the session's admission class with IO and comparisons charged to
-// the session clock. See Relation.Select for the serial equivalent.
+// Select streams the predicate relation's rows that satisfy p to fn
+// until it returns false — the short interactive lookup path, run under
+// the session's admission class through p's access path (a scan, or an
+// index probe the §2 cost model prefers) with IO and comparisons charged
+// to the session clock. See Relation.Select for the serial equivalent.
 func (s *Session) Select(p *Pred, fn func(Tuple) bool) error {
 	if err := p.Err(); err != nil {
 		return err
 	}
-	_, files, err := s.lockAndView(p.rel.Name)
+	return s.readWhere(p.rel.Name, p.inner, fn)
+}
+
+// readWhere takes a shared intent on the relation and streams its rows
+// satisfying pred to fn through the access path chooseAccess picks,
+// charging the session clock.
+func (s *Session) readWhere(name string, pred expr.Predicate, fn func(Tuple) bool) error {
+	rels, files, err := s.lockAndView(name)
 	if err != nil {
 		return err
 	}
-	leaves := int64(0)
-	p.inner.Walk(func(*expr.Comparison) { leaves++ })
-	if leaves == 0 {
-		leaves = 1
-	}
-	return files[0].Scan(simio.Seq, func(t Tuple) bool {
-		s.clock.Comps(leaves)
-		if p.inner.Eval(t) {
-			return fn(t)
-		}
-		return true
-	})
+	return chooseAccess(rels[0], pred, s.db.opts.Params).read(files[0], pred, s.clock, fn)
 }
 
 // OrderBy streams the relation's rows in ascending column order using the

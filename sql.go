@@ -10,7 +10,6 @@ import (
 
 	"mmdb/internal/agg"
 	"mmdb/internal/catalog"
-	"mmdb/internal/expr"
 	"mmdb/internal/heap"
 	"mmdb/internal/simio"
 	sqlfront "mmdb/internal/sql"
@@ -119,20 +118,6 @@ func (db *Database) QueryContext(ctx context.Context, text string, opts ...Sessi
 	return res, err
 }
 
-// predLeaves counts a predicate's comparison leaves — the per-tuple
-// comparison charge of evaluating it (min 1), matching Session.Select.
-func predLeaves(p expr.Predicate) int64 {
-	if p == nil {
-		return 0
-	}
-	n := int64(0)
-	p.Walk(func(*expr.Comparison) { n++ })
-	if n == 0 {
-		n = 1
-	}
-	return n
-}
-
 // resultSchema builds the output schema from the bound select's
 // projected columns and aggregates. COUNT/SUM/MIN/MAX yield int64, AVG
 // float64; plain columns keep their source kind and width.
@@ -206,22 +191,16 @@ func sortAndTrim(b *sqlfront.BoundSelect, outSchema *Schema, rows []Tuple, col i
 	return rows
 }
 
-// execScan is the single-table path: a charged sequential scan, with the
-// §3.4 sort machinery underneath when ORDER BY is present.
+// execScan is the single-table path: the WHERE clause's access path
+// (a charged scan, or an index probe when the §2 cost model prefers one),
+// with the §3.4 sort machinery underneath when ORDER BY is present.
 func (s *Session) execScan(b *sqlfront.BoundSelect, outSchema *Schema) (*SQLResult, error) {
 	name := b.Tables[0].Name
 	schema := b.Tables[0].Schema
 	pred := b.Preds[0]
-	leaves := predLeaves(pred)
 	var rows []Tuple
 	var projErr error
 	collect := func(t Tuple) bool {
-		if pred != nil {
-			s.clock.Comps(leaves)
-			if !pred.Eval(t) {
-				return true
-			}
-		}
 		out, err := projectRow(outSchema, b, func(int) (Tuple, *Schema) { return t, schema })
 		if err != nil {
 			projErr = err
@@ -233,18 +212,14 @@ func (s *Session) execScan(b *sqlfront.BoundSelect, outSchema *Schema) (*SQLResu
 	}
 
 	if b.OrderCol < 0 {
-		_, files, err := s.lockAndView(name)
-		if err != nil {
-			return nil, err
-		}
-		if err := files[0].Scan(simio.Seq, collect); err != nil {
+		if err := s.readWhere(name, pred, collect); err != nil {
 			return nil, err
 		}
 	} else {
 		// ORDER BY: stream the external sort ascending; DESC reverses
 		// the collected output (the sort column need not be projected,
 		// so ordering happens here, not post-projection).
-		if err := s.OrderBy(name, schema.Field(b.OrderCol).Name, collect); err != nil {
+		if err := s.OrderBy(name, schema.Field(b.OrderCol).Name, filter(pred, s.clock, collect)); err != nil {
 			return nil, err
 		}
 		if b.Desc {
@@ -384,27 +359,15 @@ func aggValue(g agg.Group, f agg.Func) Value {
 	}
 }
 
-// execGlobalAgg computes an all-aggregate select list in one charged
-// scan, each aggregate accumulating over its own column. Aggregates of
-// zero rows are 0 (the engine has no NULLs, docs/SQL.md §3.5.2).
+// execGlobalAgg computes an all-aggregate select list in one pass over
+// the WHERE clause's access path, each aggregate accumulating over its
+// own column. Aggregates of zero rows are 0 (the engine has no NULLs,
+// docs/SQL.md §3.5.2).
 func (s *Session) execGlobalAgg(b *sqlfront.BoundSelect, outSchema *Schema) (*SQLResult, error) {
-	name := b.Tables[0].Name
 	schema := b.Tables[0].Schema
-	pred := b.Preds[0]
-	leaves := predLeaves(pred)
-	_, files, err := s.lockAndView(name)
-	if err != nil {
-		return nil, err
-	}
 	groups := make([]agg.Group, len(b.Aggs))
 	var n int64
-	err = files[0].Scan(simio.Seq, func(t Tuple) bool {
-		if pred != nil {
-			s.clock.Comps(leaves)
-			if !pred.Eval(t) {
-				return true
-			}
-		}
+	err := s.readWhere(b.Tables[0].Name, b.Preds[0], func(t Tuple) bool {
 		// One comparison per accumulated aggregate, mirroring the
 		// grouped path's per-tuple group-table charge.
 		s.clock.Comps(int64(len(b.Aggs)))
@@ -589,28 +552,18 @@ type sqlTemp struct {
 
 func (t *sqlTemp) drop() { _ = t.db.DropRelation(t.name) }
 
-// materializeFiltered runs the charged filtering scan of table 0 into a
-// fresh uncharged temporary (the §3 convention: intermediates are
-// written free, their later reads are charged).
+// materializeFiltered reads table 0's rows satisfying its predicate,
+// through the WHERE clause's access path, into a fresh uncharged
+// temporary (the §3 convention: intermediates are written free, their
+// later reads are charged).
 func (s *Session) materializeFiltered(b *sqlfront.BoundSelect) (*sqlTemp, error) {
-	name := b.Tables[0].Name
-	pred := b.Preds[0]
-	leaves := predLeaves(pred)
-	_, files, err := s.lockAndView(name)
-	if err != nil {
-		return nil, err
-	}
 	tmpName := fmt.Sprintf("sql.tmp.%d", sqlTmpSeq.Add(1))
 	tmpRel, err := s.db.CreateRelation(tmpName, b.Tables[0].Schema)
 	if err != nil {
 		return nil, err
 	}
 	var appendErr error
-	err = files[0].Scan(simio.Seq, func(t Tuple) bool {
-		s.clock.Comps(leaves)
-		if !pred.Eval(t) {
-			return true
-		}
+	err = s.readWhere(b.Tables[0].Name, b.Preds[0], func(t Tuple) bool {
 		if e := tmpRel.rel.File.Append(t.Clone(), simio.Uncharged); e != nil {
 			appendErr = e
 			return false

@@ -5,8 +5,7 @@ import (
 
 	"mmdb/internal/catalog"
 	"mmdb/internal/expr"
-	"mmdb/internal/simio"
-	"mmdb/internal/tuple"
+	"mmdb/internal/lock"
 )
 
 // CompareOp is a predicate comparison operator.
@@ -141,9 +140,12 @@ func (db *Database) BuildHistogram(relation, column string, buckets int) error {
 	return err
 }
 
-// Select scans the relation, streaming rows that satisfy p to fn until it
-// returns false. The scan charges sequential IO per page and one
-// comparison per predicate leaf evaluated.
+// Select streams the relation's rows that satisfy p to fn until it
+// returns false, through p's access path: a scan charging sequential IO
+// per page, or — when the §2 cost model prefers it — a probe of an index
+// on a column p's conjunction constrains, charging comparisons only.
+// Either way p is evaluated on every candidate row at one comparison per
+// leaf. Rows come in storage order from a scan, key order from an index.
 func (r *Relation) Select(p *Pred, fn func(Tuple) bool) error {
 	if p.err != nil {
 		return p.err
@@ -151,16 +153,14 @@ func (r *Relation) Select(p *Pred, fn func(Tuple) bool) error {
 	if p.rel != r.rel {
 		return fmt.Errorf("mmdb: predicate over %q used on %q", p.rel.Name, r.Name())
 	}
-	leaves := int64(0)
-	p.inner.Walk(func(*expr.Comparison) { leaves++ })
-	if leaves == 0 {
-		leaves = 1
-	}
-	return r.rel.File.Scan(simio.Seq, func(t tuple.Tuple) bool {
-		r.db.clock.Comps(leaves)
-		if p.inner.Eval(t) {
-			return fn(t)
-		}
-		return true
+	return r.readWhere(p.inner, fn)
+}
+
+// readWhere streams the rows satisfying pred to fn under a one-shot shared
+// intent, through the access path chooseAccess picks, charging the
+// database clock.
+func (r *Relation) readWhere(pred expr.Predicate, fn func(Tuple) bool) error {
+	return r.withIntent(lock.Shared, func() error {
+		return chooseAccess(r.rel, pred, r.db.opts.Params).read(r.rel.File, pred, r.db.clock, fn)
 	})
 }

@@ -140,6 +140,49 @@ func TestWireMatchesDirect(t *testing.T) {
 	}
 }
 
+// TestWireAccessPathMatchesDirect: statements that probe a B+-tree or
+// AVL index bill the same rows and counters over TCP as direct — and
+// read no pages.
+func TestWireAccessPathMatchesDirect(t *testing.T) {
+	db, addr := startWireDB(t, mmdb.Options{MemoryPages: 64})
+	emp, err := db.Relation("emp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := emp.CreateIndex("id", mmdb.BTree); err != nil {
+		t.Fatal(err)
+	}
+	if err := emp.CreateIndex("dept", mmdb.AVL); err != nil {
+		t.Fatal(err)
+	}
+	cl, err := sqlclient.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	for _, q := range []string{
+		"SELECT * FROM emp WHERE id = 5",
+		"SELECT id, name FROM emp WHERE id >= 2 AND id < 6",
+		"SELECT COUNT(*), SUM(salary) FROM emp WHERE dept = 2",
+		"SELECT dept, COUNT(*) FROM emp WHERE id > 3 GROUP BY dept",
+	} {
+		direct, err := db.Query(q)
+		if err != nil {
+			t.Fatalf("direct %q: %v", q, err)
+		}
+		if direct.Counters.SeqIOs != 0 || direct.Counters.Comps == 0 {
+			t.Errorf("%q: direct charge %+v, want comparisons and no page reads", q, direct.Counters)
+		}
+		res, err := cl.Query(q)
+		if err != nil {
+			t.Fatalf("wire %q: %v", q, err)
+		}
+		if !reflect.DeepEqual(res.Rows, direct.Values()) || res.Counters != direct.Counters {
+			t.Errorf("wire %q: %v %+v, direct %v %+v", q, res.Rows, res.Counters, direct.Values(), direct.Counters)
+		}
+	}
+}
+
 // TestWireClassOptions checks WithClass/WithMinPages travel end to end:
 // a statement run over the wire as Interactive with an explicit memory
 // request bills exactly like a direct session opened with the same
