@@ -1228,53 +1228,6 @@ func (c *Cluster) QueryContext(ctx context.Context, text string, opts ...Session
 	return c.databaseFor(text, opts).QueryContext(ctx, text, opts...)
 }
 
-// Join routes the read-only join by the options' read preference.
-func (c *Cluster) Join(algorithm JoinAlgorithm, left, right, leftCol, rightCol string, emit func(l, r Tuple), opts ...SessionOption) (JoinResult, error) {
-	return c.JoinContext(context.Background(), algorithm, left, right, leftCol, rightCol, emit, opts...)
-}
-
-// JoinContext is the context-first cluster Join.
-func (c *Cluster) JoinContext(ctx context.Context, algorithm JoinAlgorithm, left, right, leftCol, rightCol string, emit func(l, r Tuple), opts ...SessionOption) (JoinResult, error) {
-	db := c.Route(resolveSessionConfig(opts).readPref)
-	return db.JoinContext(ctx, algorithm, left, right, leftCol, rightCol, emit, opts...)
-}
-
-// Aggregate routes the read-only aggregation by the options' read
-// preference.
-func (c *Cluster) Aggregate(relation, groupCol, valueCol string, opts ...SessionOption) ([]GroupRow, error) {
-	return c.AggregateContext(context.Background(), relation, groupCol, valueCol, opts...)
-}
-
-// AggregateContext is the context-first cluster Aggregate.
-func (c *Cluster) AggregateContext(ctx context.Context, relation, groupCol, valueCol string, opts ...SessionOption) ([]GroupRow, error) {
-	db := c.Route(resolveSessionConfig(opts).readPref)
-	return db.AggregateContext(ctx, relation, groupCol, valueCol, opts...)
-}
-
-// OrderBy routes the read-only ordered scan by the options' read
-// preference.
-func (c *Cluster) OrderBy(relation, column string, fn func(Tuple) bool, opts ...SessionOption) error {
-	return c.OrderByContext(context.Background(), relation, column, fn, opts...)
-}
-
-// OrderByContext is the context-first cluster OrderBy.
-func (c *Cluster) OrderByContext(ctx context.Context, relation, column string, fn func(Tuple) bool, opts ...SessionOption) error {
-	db := c.Route(resolveSessionConfig(opts).readPref)
-	return db.OrderByContext(ctx, relation, column, fn, opts...)
-}
-
-// Distinct routes the read-only duplicate elimination by the options'
-// read preference.
-func (c *Cluster) Distinct(relation, column string, opts ...SessionOption) ([]Value, error) {
-	return c.DistinctContext(context.Background(), relation, column, opts...)
-}
-
-// DistinctContext is the context-first cluster Distinct.
-func (c *Cluster) DistinctContext(ctx context.Context, relation, column string, opts ...SessionOption) ([]Value, error) {
-	db := c.Route(resolveSessionConfig(opts).readPref)
-	return db.DistinctContext(ctx, relation, column, opts...)
-}
-
 // WaitCaughtUp blocks until every live replica's applied horizon reaches
 // the cluster LSN (or ctx ends). Severed replicas are excluded — they
 // will never catch up — and so are replicas mid-rejoin.

@@ -284,9 +284,9 @@ func TestReplSeveredLinkDegrades(t *testing.T) {
 	}
 }
 
-// TestReplSessionOptionsOnReadMethods: the unified read API — the same
-// SessionOption list configures class, grant and routing on Database and
-// Cluster read methods alike.
+// TestReplSessionOptionsOnReadMethods: the unified read API — the
+// database Route picks for a read preference serves the read methods, and
+// the same SessionOption list configures class and grant on them.
 func TestReplSessionOptionsOnReadMethods(t *testing.T) {
 	c, err := OpenCluster(Options{}, 1)
 	if err != nil {
@@ -296,8 +296,8 @@ func TestReplSessionOptionsOnReadMethods(t *testing.T) {
 	seedCluster(t, c)
 	waitCaughtUp(t, c)
 
-	opts := []SessionOption{WithClass(Interactive), WithReadPreference(NearestReplica())}
-	groups, err := c.Aggregate("accounts", "dept", "balance", opts...)
+	opts := []SessionOption{WithClass(Interactive)}
+	groups, err := c.Route(NearestReplica()).Aggregate("accounts", "dept", "balance", opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +320,7 @@ func TestReplSessionOptionsOnReadMethods(t *testing.T) {
 			t.Fatalf("group %d differs: %+v != %+v", i, groups[i], want[i])
 		}
 	}
-	vals, err := c.Distinct("accounts", "dept", opts...)
+	vals, err := c.Route(NearestReplica()).Distinct("accounts", "dept", opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,14 +332,14 @@ func TestReplSessionOptionsOnReadMethods(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := int64(0)
-	if err := c.OrderBy("accounts", "id", func(Tuple) bool { n++; return true }, opts...); err != nil {
+	if err := c.Route(NearestReplica()).OrderBy("accounts", "id", func(Tuple) bool { n++; return true }, opts...); err != nil {
 		t.Fatal(err)
 	}
 	if n != prel.NumTuples() {
 		t.Fatalf("ordered scan saw %d tuples, primary has %d", n, prel.NumTuples())
 	}
-	// A cluster read without a preference pins to the primary.
-	if _, err := c.Distinct("accounts", "dept"); err != nil {
+	// A read routed without a preference pins to the primary.
+	if _, err := c.Route(PrimaryOnly()).Distinct("accounts", "dept"); err != nil {
 		t.Fatal(err)
 	}
 	m := c.Metrics()

@@ -7,6 +7,8 @@ package agg
 // the shared clock and disk.
 
 import (
+	"fmt"
+	"hash/fnv"
 	"sort"
 	"testing"
 
@@ -89,6 +91,41 @@ func TestParallelDistinctMatchesSerial(t *testing.T) {
 	for i := range serial {
 		if serial[i] != parallel[i] {
 			t.Fatalf("value %d diverges: %d vs %d", i, parallel[i], serial[i])
+		}
+	}
+}
+
+// TestSpilledGroupByPinned pins a spilled GROUP BY's counters, shape and
+// groups (an FNV-64a over the key-ordered group rows) to the values the
+// engine produced with both the allocating and the allocation-free hasher
+// in production, so a change to the hash or the partitioning shows up as
+// a drift here at every width.
+func TestSpilledGroupByPinned(t *testing.T) {
+	rows := spillRows(3000, 700)
+	want := cost.Counters{Comps: 2300, Hashes: 101500, Moves: 99200, SeqIOs: 13180}
+	const wantHash = 0x6fcba30dc2014949
+	for _, parallelism := range []int{1, 4} {
+		disk := env()
+		f := load(t, disk, "r", rows)
+		before := disk.Clock().Counters()
+		res, err := Hash(Spec{Input: f, GroupCol: 0, ValueCol: 1, M: 2, Parallelism: parallelism})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c := disk.Clock().Counters().Sub(before); c != want {
+			t.Errorf("parallelism=%d: counters drifted:\ngot  %#v\nwant %#v", parallelism, c, want)
+		}
+		if res.Passes != 70 || res.Partitions != 69 || len(res.Groups) != 700 {
+			t.Errorf("parallelism=%d: passes=%d partitions=%d groups=%d, want 70/69/700",
+				parallelism, res.Passes, res.Partitions, len(res.Groups))
+		}
+		sortGroups(res.Groups)
+		h := fnv.New64a()
+		for _, g := range res.Groups {
+			fmt.Fprintf(h, "%d %d %d %d %d\n", g.Key.I, g.Count, g.Sum, g.Min, g.Max)
+		}
+		if got := h.Sum64(); got != wantHash {
+			t.Errorf("parallelism=%d: group digest = %#x, want %#x", parallelism, got, wantHash)
 		}
 	}
 }

@@ -34,15 +34,14 @@ func benchRuns(k, n int) [][][]byte {
 //
 //	go test -bench TournamentMerge -benchmem ./internal/extsort/ | benchstat -col /layout -
 //
-// layout=heap is the classic pointer-chasing pqueue, layout=kernel the
-// charged cache-conscious kqueue, layout=loser the uncharged loser-tree
-// reference (fixed log2 k comparison schedule the cost model cannot adopt).
+// layout=heap is the classic pointer-chasing pqueue reference,
+// layout=kernel the charged cache-conscious kqueue, layout=loser the
+// uncharged loser-tree reference (fixed log2 k comparison schedule the cost model cannot adopt).
 func BenchmarkTournamentMerge(b *testing.B) {
 	const k, n = 64, 1 << 18
 	runs := benchRuns(k, n)
-	heapMerge := func(kernel bool) {
-		clock := cost.NewClock(cost.DefaultParams())
-		q := newSelTree(clock, kindKey, k, kernel)
+	heapMerge := func(newQueue func(*cost.Clock) selTree) {
+		q := newQueue(cost.NewClock(cost.DefaultParams()))
 		pos := make([]int, k)
 		for s := 0; s < k; s++ {
 			q.Push(item{run: s, key: runs[s][0]})
@@ -58,12 +57,12 @@ func BenchmarkTournamentMerge(b *testing.B) {
 	}
 	b.Run("layout=heap", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			heapMerge(false)
+			heapMerge(func(c *cost.Clock) selTree { return newRefQueue(c, kindKey, k) })
 		}
 	})
 	b.Run("layout=kernel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			heapMerge(true)
+			heapMerge(func(c *cost.Clock) selTree { return newKQueue(c, kindKey, k) })
 		}
 	})
 	b.Run("layout=loser", func(b *testing.B) {

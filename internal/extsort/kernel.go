@@ -1,9 +1,9 @@
 // Cache-conscious kernel layout for the sort's selection tree.
 //
-// The charged algorithm is untouched: kqueue is the same binary heap as
-// pqueue — same sift paths, same short-circuit order in siftDown, same one
-// comparison / one swap charges — so the §3 counters are bit-identical by
-// construction. What changes is purely physical:
+// The charged algorithm is the classic one: kqueue is the same binary heap
+// as the reference pqueue — same sift paths, same short-circuit order in
+// siftDown, same one comparison / one swap charges — so the §3 counters
+// are bit-identical by construction. What changes is purely physical:
 //
 //   - Heap nodes are flat 16-byte {prefix, run, ref} records instead of
 //     56-byte items carrying two slice headers. A sift swap moves one
@@ -23,8 +23,10 @@
 // it performs exactly ceil(log2 k) comparisons per replacement, while the
 // paper's binary heap charges a data-dependent number (the actual sift
 // path), so a charged loser tree cannot reproduce the §3 accounting
-// bit-for-bit at plan-identical knobs. It ships in loser.go as a tested,
-// benchmarked reference quantifying what the cost-model fidelity costs.
+// bit-for-bit at plan-identical knobs. It is kept in loser_test.go as a
+// tested, benchmarked reference quantifying what the cost-model fidelity
+// costs, next to the classic item-array pqueue (pqueue_test.go) that
+// kqueue's charges are checked against.
 package extsort
 
 import (
@@ -32,6 +34,24 @@ import (
 	"encoding/binary"
 
 	"mmdb/internal/cost"
+	"mmdb/internal/tuple"
+)
+
+// item is a priority queue element: a tuple, its sort key, and the run it
+// belongs to (run formation) or comes from (merge).
+type item struct {
+	run int
+	key []byte
+	tup tuple.Tuple
+}
+
+// lessKind names the two charged orderings so the kernel queue can
+// replicate their charge structure exactly.
+type lessKind int
+
+const (
+	kindRunThenKey lessKind = iota // replacement selection
+	kindKey                        // merge (run breaks ties)
 )
 
 // knode is one heap slot: the key prefix, the run, and the arena index of

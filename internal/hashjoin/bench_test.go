@@ -42,7 +42,7 @@ func benchTuples(n int) ([]Keyed, *tuple.Schema) {
 		tuple.Field{Name: "v", Kind: tuple.Int64},
 	)
 	clock := cost.NewClock(cost.DefaultParams())
-	h := NewFastHasher(clock, 0)
+	h := NewHasher(clock, 0)
 	out := make([]Keyed, n)
 	for i := 0; i < n; i++ {
 		k := int64(i % (n * 3 / 4))

@@ -15,26 +15,32 @@ func kvSchema() *tuple.Schema {
 	)
 }
 
+// TestRadixFastHashMatchesSlow checks the allocation-free Hasher.Hash
+// against the hash/fnv reference, including its one-hash charge per call.
 func TestRadixFastHashMatchesSlow(t *testing.T) {
 	clock := cost.NewClock(cost.DefaultParams())
+	calls := int64(0)
 	f := func(k int64, level uint32) bool {
-		slow := NewHasher(clock, level)
-		fast := NewFastHasher(clock, level)
-		return slow.Hash(key(k)) == fast.Hash(key(k))
+		calls++
+		return NewHasher(clock, level).Hash(key(k)) == referenceHash(level, key(k))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Variable-length keys too.
-	slow, fast := NewHasher(clock, 7), NewFastHasher(clock, 7)
+	h := NewHasher(clock, 7)
 	for n := 0; n < 40; n++ {
 		k := make([]byte, n)
 		for i := range k {
 			k[i] = byte(i * 37)
 		}
-		if slow.Hash(k) != fast.Hash(k) {
-			t.Fatalf("fast hash diverges at key length %d", n)
+		calls++
+		if h.Hash(k) != referenceHash(7, k) {
+			t.Fatalf("hash diverges from the reference at key length %d", n)
 		}
+	}
+	if got := clock.Counters().Hashes; got != calls {
+		t.Fatalf("charged %d hashes for %d calls", got, calls)
 	}
 }
 
@@ -53,7 +59,7 @@ func buildBoth(t *testing.T, n int, dupEvery int, expected int) (*Table, *Kernel
 	ct, kt := cost.NewClock(cost.DefaultParams()), cost.NewClock(cost.DefaultParams())
 	chained := NewTable(ct, schema, 0, expected)
 	kernel := NewKernelTable(kt, schema, 0, expected)
-	hc, hk := NewHasher(ct, 0), NewFastHasher(kt, 0)
+	hc, hk := NewHasher(ct, 0), NewHasher(kt, 0)
 	for i := 0; i < n; i++ {
 		k := int64(i)
 		if dupEvery > 0 {
@@ -85,7 +91,7 @@ func TestRadixTableMatchesChained(t *testing.T) {
 			if bc, bk := ct.Counters(), kt.Counters(); bc != bk {
 				t.Fatalf("build counters diverge:\nchained %+v\nkernel  %+v", bc, bk)
 			}
-			hc, hk := NewHasher(ct, 0), NewFastHasher(kt, 0)
+			hc, hk := NewHasher(ct, 0), NewHasher(kt, 0)
 			keys := tc.n
 			if tc.dupEvery > 0 {
 				keys = tc.dupEvery
@@ -121,7 +127,7 @@ func TestRadixProbeBatchMatchesSequential(t *testing.T) {
 	schema := kvSchema()
 	clock := cost.NewClock(cost.DefaultParams())
 	kernel := NewKernelTable(clock, schema, 0, 40000)
-	h := NewFastHasher(clock, 0)
+	h := NewHasher(clock, 0)
 	for i := 0; i < 40000; i++ {
 		k := int64(i % 9000)
 		kernel.Insert(h.Hash(key(k)), schema.MustEncode(tuple.IntValue(k), tuple.IntValue(int64(i))))
@@ -175,8 +181,8 @@ func TestRadixShardedKernelSizingNoRehash(t *testing.T) {
 	schema := kvSchema()
 	clock := cost.NewClock(cost.DefaultParams())
 	const expected = 50000
-	st := NewShardedKernelTable(clock, schema, 0, expected, 8)
-	h := NewFastHasher(clock, 0)
+	st := NewShardedTable(clock, schema, 0, expected, 8)
+	h := NewHasher(clock, 0)
 	for i := 0; i < expected; i++ {
 		k := int64(i)
 		st.Insert(h.Hash(key(k)), schema.MustEncode(tuple.IntValue(k), tuple.IntValue(k)))
@@ -185,10 +191,7 @@ func TestRadixShardedKernelSizingNoRehash(t *testing.T) {
 		t.Fatalf("len = %d", st.Len())
 	}
 	for i := 0; i < st.NumShards(); i++ {
-		ks := st.KernelShard(i)
-		if ks == nil {
-			t.Fatalf("shard %d is not a kernel table", i)
-		}
+		ks := st.Shard(i)
 		if g := ks.Grows(); g != 0 {
 			t.Fatalf("shard %d rehashed %d time(s) mid-build (len %d)", i, g, ks.Len())
 		}
@@ -199,9 +202,9 @@ func TestRadixShardedKernelMatchesChainedSharded(t *testing.T) {
 	schema := kvSchema()
 	cc, kc := cost.NewClock(cost.DefaultParams()), cost.NewClock(cost.DefaultParams())
 	const n, shards = 20000, 4
-	chained := NewShardedTable(cc, schema, 0, n, shards)
-	kernel := NewShardedKernelTable(kc, schema, 0, n, shards)
-	hc, hk := NewHasher(cc, 0), NewFastHasher(kc, 0)
+	chained := newChainedSharded(cc, schema, 0, n, shards)
+	kernel := NewShardedTable(kc, schema, 0, n, shards)
+	hc, hk := NewHasher(cc, 0), NewHasher(kc, 0)
 	for i := 0; i < n; i++ {
 		k := int64(i % 5000)
 		tup := schema.MustEncode(tuple.IntValue(k), tuple.IntValue(int64(i)))
