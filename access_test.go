@@ -272,9 +272,12 @@ func TestAccessPathCountersIdentical(t *testing.T) {
 	}
 }
 
-// TestAccessPathReplicaMatchesPrimary: a replica (and a node rebuilt by
-// Rejoin) builds its indexes in the primary's heap order, so index reads
-// routed to it bill exactly what the primary bills.
+// TestAccessPathReplicaMatchesPrimary: a replica replays the primary's
+// index upkeep and a node rebuilt by Rejoin copies the indexes as they
+// stand, so after DELETEs and Updates index reads routed to either return
+// the primary's rows, in its order, and bill exactly what it bills. An
+// Update that moves a row to another dept appends it to that AVL key's
+// list; a tree rebuilt in heap order would list it first.
 func TestAccessPathReplicaMatchesPrimary(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
@@ -294,10 +297,38 @@ func TestAccessPathReplicaMatchesPrimary(t *testing.T) {
 		"SELECT id FROM accounts WHERE id >= 100 AND id < 150 AND balance > 1110",
 		"SELECT COUNT(*), SUM(balance) FROM accounts WHERE dept = 3",
 		"SELECT dept, COUNT(*) FROM accounts WHERE id > 150 GROUP BY dept",
+		"SELECT id, balance FROM accounts WHERE dept = 2",
+	}
+	mutate := func(lo, a int64) { // a: an id in dept 1
+		t.Helper()
+		if _, err := c.Query(fmt.Sprintf("DELETE FROM accounts WHERE id >= %d AND id < %d", lo, lo+20)); err != nil {
+			t.Fatal(err)
+		}
+		rel, err := c.Primary().Relation("accounts")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, u := range []struct {
+			col    string
+			v      int64
+			setCol string
+			newV   int64
+		}{
+			{"id", a, "dept", 2},           // AVL key changes: removed, reinserted
+			{"id", a + 1, "balance", 7777}, // no key changes: replaced in place
+			{"id", a + 2, "id", 1000 + lo}, // B+-tree key changes
+		} {
+			if n, err := rel.Update(u.col, IntValue(u.v), u.setCol, IntValue(u.newV)); err != nil || n != 1 {
+				t.Fatalf("update %v: %d rows, %v", u, n, err)
+			}
+		}
 	}
 	compare := func(stage string) {
 		t.Helper()
 		waitCaughtUp(t, c)
+		if err := c.VerifyReplicas(); err != nil {
+			t.Fatalf("%s: %v", stage, err)
+		}
 		before := c.Metrics().ReplicaReads
 		for _, q := range queries {
 			prim, err := c.Query(q)
@@ -320,6 +351,7 @@ func TestAccessPathReplicaMatchesPrimary(t *testing.T) {
 			t.Fatalf("%s: %d of %d reads reached the replica", stage, got, len(queries))
 		}
 	}
+	mutate(60, 8)
 	compare("replica")
 	if _, err := c.Failover(ctx); err != nil {
 		t.Fatal(err)
@@ -327,6 +359,7 @@ func TestAccessPathReplicaMatchesPrimary(t *testing.T) {
 	if err := c.Rejoin(ctx); err != nil {
 		t.Fatal(err)
 	}
+	mutate(120, 15)
 	compare("after rejoin")
 }
 

@@ -7,6 +7,7 @@ package mmdb_test
 // EXPERIMENTS.md.
 
 import (
+	"fmt"
 	"mmdb"
 
 	"testing"
@@ -195,5 +196,55 @@ func BenchmarkCheckpointRecovery(b *testing.B) {
 		if _, _, err := sim.CrashAndRecover(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkDeleteWhere times the oltp workload's DELETE: k fresh rows
+// appended to a 100k-row relation with a B+-tree on id, then removed by
+// `DELETE … WHERE id >= 100000`. Only the DELETE is timed; it should cost
+// O(k), not O(relation).
+func BenchmarkDeleteWhere(b *testing.B) {
+	const rows = 100_000
+	db, err := mmdb.Open(mmdb.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	emp, err := db.CreateRelation("emp", mmdb.MustSchema(
+		mmdb.Field{Name: "id", Kind: mmdb.Int64},
+		mmdb.Field{Name: "dept", Kind: mmdb.Int64},
+		mmdb.Field{Name: "salary", Kind: mmdb.Int64},
+		mmdb.Field{Name: "name", Kind: mmdb.String, Size: 16},
+	))
+	if err != nil {
+		b.Fatal(err)
+	}
+	insert := func(from, n int) {
+		for i := from; i < from+n; i++ {
+			err := emp.Insert(mmdb.IntValue(int64(i)), mmdb.IntValue(int64(i%100)),
+				mmdb.IntValue(int64(1000+i%5000)), mmdb.StringValue("emp"))
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := emp.Flush(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	insert(0, rows)
+	if err := emp.CreateIndex("id", mmdb.BTree); err != nil {
+		b.Fatal(err)
+	}
+	fresh := db.MustWhere("emp", "id", mmdb.Ge, mmdb.IntValue(rows))
+	for _, k := range []int{1, 10, 100} {
+		b.Run(fmt.Sprint("k=", k), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				insert(rows, k)
+				b.StartTimer()
+				if n, err := emp.DeleteWhere(fresh); err != nil || n != int64(k) {
+					b.Fatalf("deleted %d of %d: %v", n, k, err)
+				}
+			}
+		})
 	}
 }

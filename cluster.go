@@ -70,7 +70,7 @@ func (e *LostTailError) Error() string {
 func (e *LostTailError) Lost() uint64 { return e.AckedLSN - e.SettledLSN }
 
 // shipOpKind enumerates the replicated mutations. Everything a primary
-// does to durable relations reduces to these eight logical operations;
+// does to durable relations reduces to these seven logical operations;
 // replaying them in ship order on a replica that started from the same
 // (empty) state reproduces the primary byte for byte, because every
 // operation is deterministic.
@@ -82,7 +82,6 @@ const (
 	opInsert
 	opFlush
 	opIndex
-	opDelete
 	opDeleteWhere
 	opUpdate
 )
@@ -523,9 +522,6 @@ func (r *clusterReplica) apply(op shipOp) error {
 		return rel.Flush()
 	case opIndex:
 		return rel.CreateIndex(op.column, op.ixKind)
-	case opDelete:
-		_, err := rel.Delete(op.column, op.value)
-		return err
 	case opDeleteWhere:
 		var p *Pred
 		if op.pred != nil {
@@ -1078,38 +1074,45 @@ func (c *Cluster) Rejoin(ctx context.Context) error {
 	return nil
 }
 
-// copyRelations copies the named relations — schema, tuples in storage
-// order, index set — from src into dst, which must be quiescent for the
-// duration (Rejoin holds shared intents on src; dst is the detached down
-// node).
+// copyRelations copies the named relations — schema, heap pages, indexes
+// — from src into dst, which must be quiescent for the duration (Rejoin
+// holds shared intents on src; dst is the detached down node). Pages are
+// copied as they lie, partial ones too, and indexes are cloned rather than
+// rebuilt: their shape is the mutation history's, and it decides what a
+// probe compares.
 func (c *Cluster) copyRelations(src, dst *Database, names []string) error {
 	for _, name := range names {
 		srel, err := src.cat.Get(name)
 		if err != nil {
 			return err
 		}
-		schema := srel.Schema()
-		var tuples []Tuple
-		if err := srel.File.Scan(simio.Uncharged, func(t Tuple) bool {
-			tuples = append(tuples, t.Clone())
-			return true
-		}); err != nil {
-			return err
-		}
-		drel, err := dst.createRelation(applyContext(dst), name, schema)
+		drel, err := dst.createRelation(applyContext(dst), name, srel.Schema())
 		if err != nil {
 			return err
 		}
-		for _, t := range tuples {
-			if err := drel.InsertTuple(t); err != nil {
+		flushed := srel.File.NumPages()
+		if srel.File.Buffered() > 0 {
+			flushed--
+		}
+		for i := 0; i < srel.File.NumPages(); i++ {
+			p, err := srel.File.ReadPage(i, simio.Uncharged)
+			if err != nil {
 				return err
+			}
+			for _, t := range p.Tuples() {
+				if err := drel.rel.File.Append(t, simio.Uncharged); err != nil {
+					return err
+				}
+			}
+			if i < flushed {
+				if err := drel.rel.File.Flush(simio.Uncharged); err != nil {
+					return err
+				}
 			}
 		}
 		for _, col := range srel.IndexedColumns() {
 			ix, _ := srel.Index(col)
-			if err := drel.CreateIndex(schema.Field(col).Name, ix.Kind()); err != nil {
-				return err
-			}
+			drel.rel.SetIndex(col, ix.Clone())
 		}
 	}
 	return nil

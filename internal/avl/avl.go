@@ -12,6 +12,7 @@ package avl
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"mmdb/internal/tuple"
@@ -76,7 +77,7 @@ func (t *Tree) NumNodes() int { return t.keys }
 func (t *Tree) Height() int { return height(t.root) }
 
 // Comparisons returns the total number of key comparisons performed by
-// Insert/Delete/Search/Ascend since construction or the last
+// Insert/Remove/Replace/Search/Ascend since construction or the last
 // ResetComparisons: the sum of the per-call counts. Each call counts into
 // its own local and adds it here once, so concurrent readers never share a
 // plain counter.
@@ -113,66 +114,93 @@ func (t *Tree) insert(n *node, key []byte, tup tuple.Tuple, comps *int64) *node 
 	return rebalance(n)
 }
 
-// Delete removes every tuple stored under key and reports whether the key
-// was present.
-func (t *Tree) Delete(key []byte) bool {
-	var removed int
+// Remove deletes one tuple stored under key equal to tup and reports
+// whether there was one. A key whose last tuple goes loses its node.
+func (t *Tree) Remove(key []byte, tup tuple.Tuple) bool {
 	var comps int64
-	t.root, removed = t.delete(t.root, key, &comps)
+	var removed bool
+	t.root, removed = t.remove(t.root, key, tup, &comps)
 	t.comps.Add(comps)
-	if removed == 0 {
-		return false
+	if removed {
+		t.tuples--
 	}
-	t.keys--
-	t.tuples -= removed
-	return true
+	return removed
 }
 
-func (t *Tree) delete(n *node, key []byte, comps *int64) (*node, int) {
+func (t *Tree) remove(n *node, key []byte, tup tuple.Tuple, comps *int64) (*node, bool) {
 	if n == nil {
-		return nil, 0
+		return nil, false
 	}
 	*comps++
-	var removed int
+	var removed bool
 	switch c := bytes.Compare(key, n.key); {
 	case c < 0:
-		n.left, removed = t.delete(n.left, key, comps)
+		n.left, removed = t.remove(n.left, key, tup, comps)
 	case c > 0:
-		n.right, removed = t.delete(n.right, key, comps)
+		n.right, removed = t.remove(n.right, key, tup, comps)
 	default:
-		removed = len(n.vals)
+		i := slices.IndexFunc(n.vals, func(v tuple.Tuple) bool { return bytes.Equal(v, tup) })
+		if i < 0 {
+			return n, false
+		}
+		if len(n.vals) > 1 {
+			n.vals = slices.Delete(n.vals, i, i+1)
+			return n, true
+		}
+		t.keys--
 		switch {
 		case n.left == nil:
-			return n.right, removed
+			return n.right, true
 		case n.right == nil:
-			return n.left, removed
-		default:
-			// Replace with the in-order successor's payload, then delete
-			// the successor from the right subtree.
-			succ := n.right
-			for succ.left != nil {
-				succ = succ.left
-			}
-			n.key = succ.key
-			n.vals = succ.vals
-			var sub int
-			n.right, sub = t.deleteMin(n.right)
-			_ = sub
+			return n.left, true
 		}
+		// Replace with the in-order successor's payload, then delete the
+		// successor from the right subtree.
+		succ := n.right
+		for succ.left != nil {
+			succ = succ.left
+		}
+		n.key, n.vals = succ.key, succ.vals
+		n.right = deleteMin(n.right)
+		removed = true
 	}
-	if removed == 0 {
-		return n, 0
+	if !removed {
+		return n, false
 	}
-	return rebalance(n), removed
+	return rebalance(n), true
 }
 
-func (t *Tree) deleteMin(n *node) (*node, int) {
+func deleteMin(n *node) *node {
 	if n.left == nil {
-		return n.right, len(n.vals)
+		return n.right
 	}
-	var removed int
-	n.left, removed = t.deleteMin(n.left)
-	return rebalance(n), removed
+	n.left = deleteMin(n.left)
+	return rebalance(n)
+}
+
+// Replace swaps one tuple stored under key equal to old for tup, in
+// place, and reports whether there was one. tup must carry the same key.
+func (t *Tree) Replace(key []byte, old, tup tuple.Tuple) bool {
+	vals, _ := t.Search(key, nil) // the node's own slice
+	i := slices.IndexFunc(vals, func(v tuple.Tuple) bool { return bytes.Equal(v, old) })
+	if i >= 0 {
+		vals[i] = tup
+	}
+	return i >= 0
+}
+
+// Clone returns an independent copy of the tree with the same shape and
+// node IDs. Stored tuples are shared; the tree never mutates them.
+func (t *Tree) Clone() *Tree {
+	var clone func(*node) *node
+	clone = func(n *node) *node {
+		if n == nil {
+			return nil
+		}
+		return &node{id: n.id, key: n.key, vals: slices.Clone(n.vals),
+			left: clone(n.left), right: clone(n.right), height: n.height}
+	}
+	return &Tree{root: clone(t.root), keys: t.keys, tuples: t.tuples, nextID: t.nextID}
 }
 
 // Search returns the tuples stored under key, or nil, and the key

@@ -27,6 +27,17 @@ func search(tr *Tree, k []byte) []tuple.Tuple {
 	return got
 }
 
+// removeAll removes every tuple stored under k, returning how many went.
+func removeAll(tr *Tree, k []byte) int {
+	n := 0
+	for _, v := range append([]tuple.Tuple(nil), search(tr, k)...) {
+		if tr.Remove(k, v) {
+			n++
+		}
+	}
+	return n
+}
+
 // TestConcurrentSearchComparisons runs lookups from two goroutines (the
 // shared-intent read pattern) and checks that Comparisons is exactly the
 // sum of the per-call counts; under -race it also proves readers share no
@@ -76,11 +87,11 @@ func TestInsertSearchDelete(t *testing.T) {
 	if got, _ := tr.Search(key(1000), nil); got != nil {
 		t.Fatalf("search(missing) = %v", got)
 	}
-	if !tr.Delete(key(42)) {
-		t.Fatal("delete(42) failed")
+	if !tr.Remove(key(42), tup(42)) {
+		t.Fatal("remove(42) failed")
 	}
-	if tr.Delete(key(42)) {
-		t.Fatal("double delete succeeded")
+	if tr.Remove(key(42), tup(42)) {
+		t.Fatal("double remove succeeded")
 	}
 	if got, _ := tr.Search(key(42), nil); got != nil {
 		t.Fatal("deleted key still found")
@@ -101,7 +112,7 @@ func TestDuplicateKeysChain(t *testing.T) {
 	if got, _ := tr.Search(key(7), nil); len(got) != 5 {
 		t.Fatalf("found %d duplicates", len(got))
 	}
-	if !tr.Delete(key(7)) || tr.NumTuples() != 0 {
+	if removeAll(tr, key(7)) != 5 || tr.NumTuples() != 0 || tr.Len() != 0 {
 		t.Fatal("delete of duplicate chain broken")
 	}
 }
@@ -204,8 +215,7 @@ func TestQuickRandomOpsMatchMapOracle(t *testing.T) {
 				tr.Insert(key(k), tup(k))
 				oracle[k]++
 			case 2:
-				deleted := tr.Delete(key(k))
-				if deleted != (oracle[k] > 0) {
+				if removeAll(tr, key(k)) != oracle[k] {
 					return false
 				}
 				delete(oracle, k)
@@ -239,5 +249,74 @@ func TestQuickRandomOpsMatchMapOracle(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRemoveOneOfDuplicates removes entries one at a time against a
+// sorted-slice oracle: a key keeps its node until its last tuple goes.
+func TestRemoveOneOfDuplicates(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	tr := &Tree{}
+	type entry struct{ k, v int64 }
+	var oracle []entry
+	val := func(k, v int64) tuple.Tuple { return append(tup(k), key(v)...) }
+	for i := int64(0); i < 400; i++ {
+		k := int64(rng.Intn(30))
+		tr.Insert(key(k), val(k, i))
+		oracle = append(oracle, entry{k, i})
+	}
+	if tr.Remove(key(3), val(3, -1)) || tr.Remove(key(99), val(99, 0)) {
+		t.Fatal("removed an absent entry")
+	}
+	for len(oracle) > 0 {
+		i := rng.Intn(len(oracle))
+		e := oracle[i]
+		if !tr.Remove(key(e.k), val(e.k, e.v)) {
+			t.Fatalf("entry %v not found", e)
+		}
+		oracle = append(oracle[:i], oracle[i+1:]...)
+		if err := tr.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		want := map[int64]int{}
+		for _, o := range oracle {
+			want[o.k]++
+		}
+		if tr.Len() != len(want) || tr.NumTuples() != len(oracle) {
+			t.Fatalf("%d keys, %d tuples; oracle %d, %d", tr.Len(), tr.NumTuples(), len(want), len(oracle))
+		}
+		if got := len(search(tr, key(e.k))); got != want[e.k] {
+			t.Fatalf("key %d: %d tuples, oracle %d", e.k, got, want[e.k])
+		}
+	}
+}
+
+// TestRemoveReplaceAndClone: Replace swaps one tuple in place, and a Clone has
+// the same shape and node IDs but evolves independently.
+func TestRemoveReplaceAndClone(t *testing.T) {
+	tr := &Tree{}
+	for i := int64(0); i < 200; i++ {
+		tr.Insert(key(i%10), tuple.Tuple(append(key(i%10), key(i)...)))
+	}
+	old := tuple.Tuple(append(key(4), key(14)...))
+	repl := tuple.Tuple(append(key(4), key(1000)...))
+	if !tr.Replace(key(4), old, repl) || tr.Replace(key(4), old, repl) {
+		t.Fatal("Replace found the wrong entries")
+	}
+	if got := search(tr, key(4)); !bytes.Equal(got[1], repl) {
+		t.Fatal("Replace did not keep the entry's place")
+	}
+	c := tr.Clone()
+	var visitsT, visitsC []NodeID
+	_, ct := tr.Search(key(4), func(id NodeID) { visitsT = append(visitsT, id) })
+	_, cc := c.Search(key(4), func(id NodeID) { visitsC = append(visitsC, id) })
+	if ct != cc || len(visitsT) != len(visitsC) || visitsT[len(visitsT)-1] != visitsC[len(visitsC)-1] {
+		t.Fatalf("clone probes differently: %v vs %v", visitsC, visitsT)
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if removeAll(c, key(4)) != 20 || c.Len() != 9 || tr.Len() != 10 || len(search(tr, key(4))) != 20 {
+		t.Fatal("removing from the clone changed the original")
 	}
 }

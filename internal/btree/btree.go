@@ -13,6 +13,7 @@ package btree
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"mmdb/internal/page"
@@ -359,41 +360,178 @@ func (t *Tree) AscendRange(start []byte, visit VisitFunc, fn func(key []byte, tu
 	}
 }
 
-// Delete removes all tuples stored under key and reports how many were
-// removed. Leaves are allowed to underflow (lazy deletion); structure and
-// search correctness are preserved.
-func (t *Tree) Delete(key []byte) int {
+// step is one level of a root-to-leaf path: an interior node and the
+// child the path takes.
+type step struct {
+	n  *interior
+	ci int
+}
+
+// find locates an entry under key whose tuple equals tup, returning the
+// interior path to its leaf, the leaf and the slot. Equal keys may
+// straddle leaves, so it walks the leaf chain, advancing the path along.
+// Key comparisons are counted into comps.
+func (t *Tree) find(key []byte, tup tuple.Tuple, comps *int64) (path []step, l *leaf, i int, ok bool) {
 	if t.root == nil {
-		return 0
+		return nil, nil, 0, false
 	}
-	var comps int64
-	defer func() { t.comps.Add(comps) }()
 	n := t.root
 	for {
 		in, ok := n.(*interior)
 		if !ok {
 			break
 		}
-		n = in.children[childIndex(in, key, &comps)]
+		ci := childIndex(in, key, comps)
+		path = append(path, step{in, ci})
+		n = in.children[ci]
 	}
-	removed := 0
-	for l := n.(*leaf); l != nil; l = l.next {
-		i := searchKeys(l.keys, key, true, &comps)
-		j := i
-		for j < len(l.keys) && compare(l.keys[j], key, &comps) == 0 {
-			j++
+	l = n.(*leaf)
+	i = searchKeys(l.keys, key, true, comps)
+	for {
+		for ; i < len(l.keys); i++ {
+			if compare(l.keys[i], key, comps) != 0 {
+				return nil, nil, 0, false
+			}
+			if bytes.Equal(l.tups[i], tup) {
+				return path, l, i, true
+			}
 		}
-		if j > i {
-			removed += j - i
-			l.keys = append(l.keys[:i], l.keys[j:]...)
-			l.tups = append(l.tups[:i], l.tups[j:]...)
+		if path, l = nextLeaf(path); l == nil {
+			return nil, nil, 0, false
 		}
-		if i < len(l.keys) {
-			break // a key greater than the target remains; duplicates cannot continue
+		i = 0
+	}
+}
+
+// nextLeaf moves path to the leaf after the one it leads to and returns
+// that leaf, or nil after the last leaf.
+func nextLeaf(path []step) ([]step, *leaf) {
+	d := len(path) - 1
+	for d >= 0 && path[d].ci+1 >= len(path[d].n.children) {
+		d--
+	}
+	if d < 0 {
+		return path, nil
+	}
+	path[d].ci++
+	path = path[:d+1]
+	n := path[d].n.children[path[d].ci]
+	for {
+		in, ok := n.(*interior)
+		if !ok {
+			return path, n.(*leaf)
+		}
+		path = append(path, step{in, 0})
+		n = in.children[0]
+	}
+}
+
+// Remove deletes one entry stored under key whose tuple equals tup and
+// reports whether there was one. A leaf it empties is unlinked from the
+// leaf chain and its parent, interior nodes left childless go with it,
+// and a root left with one child is replaced by that child, so churn
+// leaks no pages. Other leaves may underflow; search is unaffected.
+func (t *Tree) Remove(key []byte, tup tuple.Tuple) bool {
+	var comps int64
+	defer func() { t.comps.Add(comps) }()
+	path, l, i, ok := t.find(key, tup, &comps)
+	if !ok {
+		return false
+	}
+	l.keys = slices.Delete(l.keys, i, i+1)
+	l.tups = slices.Delete(l.tups, i, i+1)
+	t.tuples--
+	if len(l.keys) == 0 {
+		t.unlink(path, l)
+	}
+	return true
+}
+
+// Replace swaps the tuple of one entry under key equal to old for tup, in
+// place, and reports whether there was one. tup must carry the same key.
+func (t *Tree) Replace(key []byte, old, tup tuple.Tuple) bool {
+	var comps int64
+	defer func() { t.comps.Add(comps) }()
+	_, l, i, ok := t.find(key, old, &comps)
+	if ok {
+		l.tups[i] = tup
+	}
+	return ok
+}
+
+// unlink removes the empty leaf l, reached by path, from the tree.
+func (t *Tree) unlink(path []step, l *leaf) {
+	t.leaves--
+	for d := len(path) - 1; d >= 0; d-- {
+		if ci := path[d].ci; ci > 0 {
+			prev := path[d].n.children[ci-1]
+			for {
+				in, ok := prev.(*interior)
+				if !ok {
+					break
+				}
+				prev = in.children[len(in.children)-1]
+			}
+			prev.(*leaf).next = l.next
+			break
 		}
 	}
-	t.tuples -= removed
-	return removed
+	for d := len(path) - 1; ; d-- {
+		if d < 0 {
+			t.root, t.height = nil, 0
+			return
+		}
+		in, ci := path[d].n, path[d].ci
+		in.children = slices.Delete(in.children, ci, ci+1)
+		if len(in.keys) > 0 {
+			// The separator left of the child goes; the first child's
+			// right separator goes instead.
+			k := max(ci-1, 0)
+			in.keys = slices.Delete(in.keys, k, k+1)
+		}
+		if len(in.children) > 0 {
+			break
+		}
+		t.interiors--
+	}
+	for {
+		in, ok := t.root.(*interior)
+		if !ok || len(in.children) > 1 {
+			return
+		}
+		t.root = in.children[0]
+		t.interiors--
+		t.height--
+	}
+}
+
+// Clone returns an independent copy of the tree with the same shape and
+// page IDs. Stored tuples are shared; the tree never mutates them.
+func (t *Tree) Clone() *Tree {
+	c := &Tree{cfg: t.cfg, height: t.height, tuples: t.tuples, leaves: t.leaves,
+		interiors: t.interiors, nextPage: t.nextPage}
+	var prev *leaf
+	var clone func(treeNode) treeNode
+	clone = func(n treeNode) treeNode {
+		if l, ok := n.(*leaf); ok {
+			cl := &leaf{id: l.id, keys: slices.Clone(l.keys), tups: slices.Clone(l.tups)}
+			if prev != nil {
+				prev.next = cl
+			}
+			prev = cl
+			return cl
+		}
+		in := n.(*interior)
+		ci := &interior{id: in.id, keys: slices.Clone(in.keys), children: make([]treeNode, len(in.children))}
+		for i, ch := range in.children {
+			ci.children[i] = clone(ch)
+		}
+		return ci
+	}
+	if t.root != nil {
+		c.root = clone(t.root)
+	}
+	return c
 }
 
 // BulkLoad builds a tree from tuples already sorted by key, packing leaves
@@ -476,8 +614,9 @@ func (t *Tree) BulkLoad(keys [][]byte, tups []tuple.Tuple, fill float64) error {
 	return nil
 }
 
-// CheckInvariants verifies ordering, uniform leaf depth, separator bounds
-// and the leaf chain. Intended for tests.
+// CheckInvariants verifies ordering, uniform leaf depth, separator bounds,
+// the leaf chain, that no empty leaf stays linked and that the page counts
+// match the reachable nodes. Intended for tests.
 func (t *Tree) CheckInvariants() error {
 	if t.root == nil {
 		if t.tuples != 0 || t.height != 0 {
@@ -486,7 +625,7 @@ func (t *Tree) CheckInvariants() error {
 		return nil
 	}
 	depth := -1
-	count := 0
+	count, leaves, interiors := 0, 0, 0
 	var lastLeaf *leaf
 	var lastKey []byte
 	var walk func(n treeNode, d int, lo, hi []byte) error
@@ -498,8 +637,12 @@ func (t *Tree) CheckInvariants() error {
 			} else if depth != d {
 				return fmt.Errorf("btree: leaf at depth %d, expected %d", d, depth)
 			}
+			leaves++
 			if len(n.keys) != len(n.tups) {
 				return fmt.Errorf("btree: leaf with %d keys, %d tuples", len(n.keys), len(n.tups))
+			}
+			if len(n.keys) == 0 {
+				return fmt.Errorf("btree: empty leaf %d still linked", n.id)
 			}
 			if len(n.keys) > t.cfg.LeafCapacity() {
 				return fmt.Errorf("btree: overfull leaf (%d > %d)", len(n.keys), t.cfg.LeafCapacity())
@@ -523,6 +666,7 @@ func (t *Tree) CheckInvariants() error {
 			lastLeaf = n
 			return nil
 		case *interior:
+			interiors++
 			if len(n.children) != len(n.keys)+1 {
 				return fmt.Errorf("btree: interior with %d children, %d keys", len(n.children), len(n.keys))
 			}
@@ -554,6 +698,10 @@ func (t *Tree) CheckInvariants() error {
 	}
 	if count != t.tuples {
 		return fmt.Errorf("btree: stored tuples %d, reachable %d", t.tuples, count)
+	}
+	if leaves != t.leaves || interiors != t.interiors {
+		return fmt.Errorf("btree: stored %d leaves and %d interiors, reachable %d and %d",
+			t.leaves, t.interiors, leaves, interiors)
 	}
 	if lastLeaf != nil && lastLeaf.next != nil {
 		return fmt.Errorf("btree: leaf chain extends past last leaf")

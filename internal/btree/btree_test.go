@@ -3,8 +3,10 @@ package btree
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -33,6 +35,17 @@ func tup(k, v int64) tuple.Tuple {
 func search(tr *Tree, k []byte) []tuple.Tuple {
 	got, _ := tr.Search(k, nil)
 	return got
+}
+
+// removeAll removes every tuple stored under k, returning how many went.
+func removeAll(tr *Tree, k []byte) int {
+	n := 0
+	for _, v := range search(tr, k) {
+		if tr.Remove(k, v) {
+			n++
+		}
+	}
+	return n
 }
 
 // TestConcurrentSearchComparisons runs lookups from two goroutines (the
@@ -129,7 +142,7 @@ func TestDuplicatesAcrossSplits(t *testing.T) {
 			t.Fatalf("key %d: found %d of %d duplicates", k, got, n)
 		}
 	}
-	if removed := tr.Delete(key(3)); removed != 40 {
+	if removed := removeAll(tr, key(3)); removed != 40 {
 		t.Fatalf("delete removed %d of 40", removed)
 	}
 	if err := tr.CheckInvariants(); err != nil {
@@ -276,7 +289,7 @@ func TestQuickMatchesSortedOracle(t *testing.T) {
 		for i := 0; i < ops; i++ {
 			k := int64(rng.Intn(50))
 			if rng.Intn(4) == 0 {
-				removed := tr.Delete(key(k))
+				removed := removeAll(tr, key(k))
 				if removed != oracle[k] {
 					return false
 				}
@@ -309,6 +322,146 @@ func TestQuickMatchesSortedOracle(t *testing.T) {
 		return sort.SliceIsSorted(walked, func(i, j int) bool { return walked[i] < walked[j] }) && len(walked) == total
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// entry is one (key, tuple) pair of the sorted-slice oracle.
+type entry struct{ k, v int64 }
+
+// TestRemoveMatchesSortedOracle removes entries one by one — among them
+// duplicate keys spread over many leaves — and after each checks the
+// invariants and that an ascending walk equals a sorted-slice oracle.
+func TestRemoveMatchesSortedOracle(t *testing.T) {
+	for seed := int64(1); seed <= 10; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tr := MustNew(smallConfig()) // 16 tuples per leaf
+		var oracle []entry
+		for i := 0; i < 600; i++ {
+			k := int64(rng.Intn(40)) // ~15 duplicates per key: runs straddle leaves
+			if rng.Intn(5) == 0 {
+				k = 7 // one key with ~120 duplicates over many leaves
+			}
+			tr.Insert(key(k), tup(k, int64(i)))
+			oracle = append(oracle, entry{k, int64(i)})
+		}
+		sortEntries(oracle)
+		if tr.Remove(key(7), tup(7, -1)) || tr.Remove(key(99), tup(99, 0)) {
+			t.Fatal("removed an absent entry")
+		}
+		for len(oracle) > 0 {
+			i := rng.Intn(len(oracle))
+			e := oracle[i]
+			if !tr.Remove(key(e.k), tup(e.k, e.v)) {
+				t.Fatalf("seed %d: entry %v not found", seed, e)
+			}
+			oracle = append(oracle[:i], oracle[i+1:]...)
+			if err := tr.CheckInvariants(); err != nil {
+				t.Fatalf("seed %d after removing %v: %v", seed, e, err)
+			}
+			var walked []entry
+			tr.AscendRange(nil, nil, func(k []byte, v tuple.Tuple) bool {
+				walked = append(walked, entry{int64(binary.BigEndian.Uint64(k) ^ 1<<63), int64(binary.BigEndian.Uint64(v[8:]))})
+				return true
+			})
+			sortEntries(walked) // equal keys need not keep insertion order
+			if !slices.Equal(walked, oracle) {
+				t.Fatalf("seed %d after removing %v: walk differs from the oracle", seed, e)
+			}
+			if n := len(search(tr, key(e.k))); n != countKey(oracle, e.k) {
+				t.Fatalf("seed %d: search(%d) found %d, oracle %d", seed, e.k, n, countKey(oracle, e.k))
+			}
+		}
+		if tr.NumLeaves() != 0 || tr.Height() != 0 || tr.NumPages() != 0 {
+			t.Fatalf("emptied tree keeps %d pages, height %d", tr.NumPages(), tr.Height())
+		}
+	}
+}
+
+func sortEntries(es []entry) {
+	sort.Slice(es, func(i, j int) bool {
+		if es[i].k != es[j].k {
+			return es[i].k < es[j].k
+		}
+		return es[i].v < es[j].v
+	})
+}
+
+func countKey(es []entry, k int64) int {
+	n := 0
+	for _, e := range es {
+		if e.k == k {
+			n++
+		}
+	}
+	return n
+}
+
+// TestRemoveChurnDoesNotLeakLeaves: a sliding window of live keys over 20k
+// insert/remove cycles on increasing keys. Leaves emptied on the left
+// must leave the tree, so the page count stays bounded by the live tuples
+// rather than growing with the history.
+func TestRemoveChurnDoesNotLeakLeaves(t *testing.T) {
+	tr := MustNew(smallConfig())
+	const window, cycles = 100, 20000
+	for i := int64(0); i < cycles; i++ {
+		tr.Insert(key(i), tup(i, i))
+		if i >= window {
+			if !tr.Remove(key(i-window), tup(i-window, i-window)) {
+				t.Fatalf("cycle %d: key %d missing", i, i-window)
+			}
+		}
+		if tr.NumTuples() > window+1 {
+			t.Fatalf("cycle %d: %d tuples", i, tr.NumTuples())
+		}
+		// Every live leaf holds at least one tuple; half-full splits give
+		// at most ~2 leaves per leaf's worth of live tuples, plus the tip.
+		if bound := 2*window/tr.Config().LeafCapacity() + 2; tr.NumLeaves() > bound {
+			t.Fatalf("cycle %d: %d leaves for %d live tuples (bound %d)", i, tr.NumLeaves(), tr.NumTuples(), bound)
+		}
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if tr.Height() > 3 {
+		t.Fatalf("height %d after churn over %d live tuples", tr.Height(), window)
+	}
+}
+
+// TestRemoveReplaceAndClone: Replace swaps one duplicate's tuple in place, and a
+// Clone has the same shape and page IDs but evolves independently.
+func TestRemoveReplaceAndClone(t *testing.T) {
+	tr := MustNew(smallConfig())
+	for i := int64(0); i < 300; i++ {
+		tr.Insert(key(i%20), tup(i%20, i))
+	}
+	if !tr.Replace(key(5), tup(5, 45), tup(5, 1000)) || tr.Replace(key(5), tup(5, 45), tup(5, 1)) {
+		t.Fatal("Replace found the wrong entries")
+	}
+	c := tr.Clone()
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	var visitsT, visitsC []NodeID
+	_, ct := tr.Search(key(5), func(id NodeID) { visitsT = append(visitsT, id) })
+	got, cc := c.Search(key(5), func(id NodeID) { visitsC = append(visitsC, id) })
+	if ct != cc || fmt.Sprint(visitsT) != fmt.Sprint(visitsC) || c.NumPages() != tr.NumPages() {
+		t.Fatalf("clone probes differently: %d vs %d comparisons, pages %v vs %v", cc, ct, visitsC, visitsT)
+	}
+	found := false
+	for _, v := range got {
+		found = found || bytes.Equal(v, tup(5, 1000))
+	}
+	if !found || len(got) != 15 {
+		t.Fatalf("clone search(5) = %d tuples, replaced one found %v", len(got), found)
+	}
+	for i := int64(0); i < 300; i++ {
+		c.Remove(key(i%20), tup(i%20, i))
+	}
+	if tr.NumTuples() != 300 || len(search(tr, key(5))) != 15 {
+		t.Fatal("removing from the clone changed the original")
+	}
+	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -38,6 +38,13 @@ type Index interface {
 	Kind() IndexKind
 	// Insert adds a tuple under its key.
 	Insert(key []byte, tup tuple.Tuple)
+	// Remove deletes one entry under key whose tuple equals tup and
+	// reports whether there was one.
+	Remove(key []byte, tup tuple.Tuple) bool
+	// Replace swaps the tuple of one entry under key equal to old for tup
+	// (which carries the same key), in place, reporting whether there was
+	// one.
+	Replace(key []byte, old, tup tuple.Tuple) bool
 	// Search returns the tuples stored under key and the key comparisons
 	// the probe made.
 	Search(key []byte) ([]tuple.Tuple, int64)
@@ -47,6 +54,11 @@ type Index interface {
 	Ascend(start []byte, fn func(key []byte, tup tuple.Tuple) bool) int64
 	// Len returns the number of indexed tuples.
 	Len() int
+	// Clone returns an independent copy with the same shape, so probes of
+	// it compare exactly as probes of the original do.
+	Clone() Index
+	// CheckInvariants verifies the tree's structure (for tests).
+	CheckInvariants() error
 }
 
 type btreeIndex struct{ t *btree.Tree }
@@ -55,19 +67,33 @@ func (b btreeIndex) Kind() IndexKind { return BTree }
 func (b btreeIndex) Insert(key []byte, tup tuple.Tuple) {
 	b.t.Insert(key, tup)
 }
+func (b btreeIndex) Remove(key []byte, tup tuple.Tuple) bool {
+	return b.t.Remove(key, tup)
+}
+func (b btreeIndex) Replace(key []byte, old, tup tuple.Tuple) bool {
+	return b.t.Replace(key, old, tup)
+}
 func (b btreeIndex) Search(key []byte) ([]tuple.Tuple, int64) {
 	return b.t.Search(key, nil)
 }
 func (b btreeIndex) Ascend(start []byte, fn func([]byte, tuple.Tuple) bool) int64 {
 	return b.t.AscendRange(start, nil, fn)
 }
-func (b btreeIndex) Len() int { return b.t.NumTuples() }
+func (b btreeIndex) Len() int               { return b.t.NumTuples() }
+func (b btreeIndex) Clone() Index           { return btreeIndex{t: b.t.Clone()} }
+func (b btreeIndex) CheckInvariants() error { return b.t.CheckInvariants() }
 
 type avlIndex struct{ t *avl.Tree }
 
 func (a avlIndex) Kind() IndexKind { return AVL }
 func (a avlIndex) Insert(key []byte, tup tuple.Tuple) {
 	a.t.Insert(key, tup)
+}
+func (a avlIndex) Remove(key []byte, tup tuple.Tuple) bool {
+	return a.t.Remove(key, tup)
+}
+func (a avlIndex) Replace(key []byte, old, tup tuple.Tuple) bool {
+	return a.t.Replace(key, old, tup)
 }
 func (a avlIndex) Search(key []byte) ([]tuple.Tuple, int64) {
 	return a.t.Search(key, nil)
@@ -82,7 +108,9 @@ func (a avlIndex) Ascend(start []byte, fn func([]byte, tuple.Tuple) bool) int64 
 		return true
 	})
 }
-func (a avlIndex) Len() int { return a.t.NumTuples() }
+func (a avlIndex) Len() int               { return a.t.NumTuples() }
+func (a avlIndex) Clone() Index           { return avlIndex{t: a.t.Clone()} }
+func (a avlIndex) CheckInvariants() error { return a.t.CheckInvariants() }
 
 // Relation is one cataloged table. The index and histogram registries are
 // guarded by an internal RW mutex so planners reading them race-free
@@ -118,6 +146,14 @@ func (r *Relation) IndexedColumns() []int {
 	}
 	sort.Ints(out)
 	return out
+}
+
+// SetIndex installs ix as the index on col, replacing any there — how a
+// node rebuilt from a snapshot takes the source's indexes as they are.
+func (r *Relation) SetIndex(col int, ix Index) {
+	r.mu.Lock()
+	r.indexes[col] = ix
+	r.mu.Unlock()
 }
 
 // Stats summarizes a relation for the planner.
@@ -281,9 +317,7 @@ func (c *Catalog) BuildIndex(name string, col int, kind IndexKind) (Index, error
 	if err != nil {
 		return nil, err
 	}
-	r.mu.Lock()
-	r.indexes[col] = ix
-	r.mu.Unlock()
+	r.SetIndex(col, ix)
 	return ix, nil
 }
 

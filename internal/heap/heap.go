@@ -19,13 +19,12 @@ import (
 // Scans of a flushed file may run concurrently — the parallel join workers
 // rely on this when each scans its own partition file.
 type File struct {
-	disk    *simio.Disk
-	space   *simio.Space
-	schema  *tuple.Schema
-	cur     page.TuplePage
-	buffer  int // tuples in cur
-	flushed bool
-	tuples  int64
+	disk   *simio.Disk
+	space  *simio.Space
+	schema *tuple.Schema
+	cur    page.TuplePage
+	tuples int64
+	packed int // leading flushed pages that are full (see Packed)
 }
 
 // Create makes an empty heap file named name on disk.
@@ -66,13 +65,12 @@ func (f *File) OnDisk(d *simio.Disk) (*File, error) {
 		return nil, err
 	}
 	return &File{
-		disk:    d,
-		space:   space,
-		schema:  f.schema,
-		cur:     f.cur,
-		buffer:  f.buffer,
-		flushed: f.flushed,
-		tuples:  f.tuples,
+		disk:   d,
+		space:  space,
+		schema: f.schema,
+		cur:    f.cur,
+		tuples: f.tuples,
+		packed: f.packed,
 	}, nil
 }
 
@@ -100,6 +98,12 @@ func (f *File) NumPages() int {
 // since. Readers that serve tuple views (the sort's run cursors) use it to
 // tell whether a page aliases the live buffer and must be cloned.
 func (f *File) Buffered() int { return f.cur.Count() }
+
+// Packed returns how many leading pages of the file are full flushed
+// pages: the first page that is partial, or the append buffer. Rewriting
+// from any page at or below it leaves the file as a rewrite of the whole
+// file would: every page full but the last.
+func (f *File) Packed() int { return f.packed }
 
 // TuplesPerPage returns the page capacity in tuples (the paper's ||R||/|R|).
 func (f *File) TuplesPerPage() int { return f.cur.Capacity() }
@@ -132,12 +136,17 @@ func (f *File) Flush(a simio.Access) error {
 // faults are absorbed by bounded retry with virtual-time backoff; anything
 // else (permanent failures, plain injected errors) propagates immediately.
 func (f *File) writeCur(a simio.Access) error {
+	n := -1
 	err := fault.Retry(f.disk.Clock(), 0, func() error {
-		_, e := f.space.Append(f.cur.Bytes(), a)
+		var e error
+		n, e = f.space.Append(f.cur.Bytes(), a)
 		return e
 	})
 	if err != nil {
 		return err
+	}
+	if n == f.packed && f.cur.Full() {
+		f.packed++
 	}
 	f.cur.Reset()
 	return nil
@@ -197,19 +206,48 @@ func (f *File) ScanRange(start, end int, a simio.Access, fn func(t tuple.Tuple) 
 
 // Drop removes the file's pages from the disk.
 func (f *File) Drop() {
-	f.space.Truncate()
+	f.space.Truncate(0)
 	f.disk.Remove(f.Name())
 	f.cur.Reset()
 	f.tuples = 0
+	f.packed = 0
 }
 
-// Rewrite streams every tuple through fn and compacts the file in place:
-// fn returns the (possibly replaced) tuple and whether to keep it. The
+// TailStart returns the first page of the shortest tail of the file that
+// holds k tuples satisfying match, scanning back from the last page; a
+// negative k scans the whole file and returns the first page holding any.
+// With no such tuple it returns NumPages(). The scan is uncharged.
+func (f *File) TailStart(k int64, match func(t tuple.Tuple) bool) (int, error) {
+	from := f.NumPages()
+	for i := from - 1; i >= 0 && k != 0; i-- {
+		p, err := f.ReadPage(i, simio.Uncharged)
+		if err != nil {
+			return 0, err
+		}
+		for j := 0; j < p.Count(); j++ {
+			if match(p.Tuple(j)) {
+				from = i
+				k--
+			}
+		}
+	}
+	return from, nil
+}
+
+// Rewrite streams every tuple of pages [from, NumPages()) through fn and
+// compacts them in place: fn returns the (possibly replaced) tuple and
+// whether to keep it. Pages before from are untouched, so a rewrite costs
+// the tail it covers. When from is at or below Packed() and fn would keep
+// every tuple before from as it is, the file ends byte for byte as a
+// rewrite from page 0 would leave it: every page full but the last. The
 // rewrite is uncharged — engine-level maintenance, not part of any paper
 // experiment.
-func (f *File) Rewrite(fn func(t tuple.Tuple) (tuple.Tuple, bool)) error {
+func (f *File) Rewrite(from int, fn func(t tuple.Tuple) (tuple.Tuple, bool)) error {
+	from = min(from, f.space.NumPages()) // the append buffer is always rewritten
 	var kept []tuple.Tuple
-	err := f.Scan(simio.Uncharged, func(t tuple.Tuple) bool {
+	var seen int64
+	err := f.ScanRange(from, f.NumPages(), simio.Uncharged, func(t tuple.Tuple) bool {
+		seen++
 		out, keep := fn(t)
 		if keep {
 			if len(out) != f.schema.Width() {
@@ -223,9 +261,10 @@ func (f *File) Rewrite(fn func(t tuple.Tuple) (tuple.Tuple, bool)) error {
 	if err != nil {
 		return err
 	}
-	f.space.Truncate()
+	f.space.Truncate(from)
+	f.packed = min(f.packed, from)
 	f.cur.Reset()
-	f.tuples = 0
+	f.tuples -= seen
 	for _, t := range kept {
 		if err := f.Append(t, simio.Uncharged); err != nil {
 			return err

@@ -78,9 +78,10 @@ func (p TuplePage) setCount(n int) {
 // Full reports whether the page has no free slot.
 func (p TuplePage) Full() bool { return p.Count() >= p.Capacity() }
 
-// Reset empties the page.
+// Reset empties the page, zeroing the slots it held so a page image
+// depends only on the tuples appended since.
 func (p TuplePage) Reset() {
-	p.setCount(0)
+	clear(p.data[:headerSize+p.Count()*p.width])
 }
 
 // Append adds t to the page. It reports false when the page is full.

@@ -296,10 +296,13 @@ func (s *Space) Read(n int, a Access) ([]byte, error) {
 	return out, nil
 }
 
-// Truncate drops all pages, leaving an empty space.
-func (s *Space) Truncate() {
+// Truncate drops every page from page n on, keeping pages [0, n).
+func (s *Space) Truncate(n int) {
 	s.data.mu.Lock()
-	s.data.pages = nil
+	if n < len(s.data.pages) {
+		clear(s.data.pages[n:])
+		s.data.pages = s.data.pages[:n]
+	}
 	s.data.mu.Unlock()
 }
 

@@ -106,8 +106,15 @@ func TestAccessCharging(t *testing.T) {
 func TestTruncate(t *testing.T) {
 	d, _ := newDisk()
 	s := d.MustCreate("x")
-	s.Append([]byte("a"), Uncharged)
-	s.Truncate()
+	for _, b := range []string{"a", "b", "c"} {
+		s.Append([]byte(b), Uncharged)
+	}
+	s.Truncate(5)
+	s.Truncate(1)
+	if got, _ := s.Read(0, Uncharged); s.NumPages() != 1 || got[0] != 'a' {
+		t.Fatalf("truncate to 1 left %d pages", s.NumPages())
+	}
+	s.Truncate(0)
 	if s.NumPages() != 0 {
 		t.Fatal("truncate left pages")
 	}

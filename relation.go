@@ -1,14 +1,15 @@
 package mmdb
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 
 	"mmdb/internal/catalog"
+	"mmdb/internal/cost"
 	"mmdb/internal/expr"
 	"mmdb/internal/lock"
 	"mmdb/internal/simio"
-	"mmdb/internal/tuple"
 )
 
 // IndexKind selects an access method (§2).
@@ -146,49 +147,22 @@ func (r *Relation) leaf(column string, op CompareOp, v Value) (*expr.Comparison,
 	return expr.NewComparison(r.Schema(), col, op, v)
 }
 
-// Delete removes every row whose column equals v, returning the count.
-// Indexes on the relation are rebuilt afterwards (bulk maintenance).
+// Delete removes every row whose column equals v, returning the count:
+// DeleteWhere on the leaf `column = v`.
 func (r *Relation) Delete(column string, v Value) (int64, error) {
-	schema := r.Schema()
-	col := schema.FieldIndex(column)
-	if col < 0 {
-		return 0, fmt.Errorf("mmdb: relation %q has no column %q", r.Name(), column)
-	}
-	probe := make(Tuple, schema.Width())
-	if err := schema.Set(probe, col, v); err != nil {
+	eq, err := r.leaf(column, Eq, v)
+	if err != nil {
 		return 0, err
 	}
-	var removed int64
-	err := r.withIntent(lock.Exclusive, func() error {
-		err := r.rel.File.Rewrite(func(t tuple.Tuple) (tuple.Tuple, bool) {
-			if schema.CompareField(t, probe, col) == 0 {
-				removed++
-				return nil, false
-			}
-			return t, true
-		})
-		if err != nil {
-			removed = 0
-			return err
-		}
-		if removed > 0 {
-			if err := r.rebuildIndexes(); err != nil {
-				return err
-			}
-		}
-		if err := r.db.shipOp(r.applier, shipOp{kind: opDelete, rel: r.Name(), column: column, value: v}); err != nil {
-			removed = 0
-			return err
-		}
-		return nil
-	})
-	return removed, err
+	return r.DeleteWhere(&Pred{rel: r.rel, inner: eq})
 }
 
 // DeleteWhere removes every row matching the predicate, returning the
-// count. A nil predicate removes every row. Indexes are rebuilt
-// afterwards (bulk maintenance), exactly as in Delete.
+// count. A nil predicate removes every row. The work is proportional to
+// the rows removed and the heap pages from the first one touched (see
+// rewrite), and uncharged, like all maintenance.
 func (r *Relation) DeleteWhere(p *Pred) (int64, error) {
+	var inner expr.Predicate
 	if p != nil {
 		if err := p.Err(); err != nil {
 			return 0, err
@@ -196,99 +170,119 @@ func (r *Relation) DeleteWhere(p *Pred) (int64, error) {
 		if p.rel != r.rel {
 			return 0, fmt.Errorf("mmdb: predicate over %q used on %q", p.rel.Name, r.Name())
 		}
+		inner = p.inner
 	}
 	var removed int64
 	err := r.withIntent(lock.Exclusive, func() error {
-		err := r.rel.File.Rewrite(func(t tuple.Tuple) (tuple.Tuple, bool) {
-			if p == nil || p.inner.Eval(t) {
-				removed++
-				return nil, false
-			}
-			return t, true
-		})
+		n, err := r.rewrite(inner, func(Tuple) Tuple { return nil })
 		if err != nil {
-			removed = 0
 			return err
-		}
-		if removed > 0 {
-			if err := r.rebuildIndexes(); err != nil {
-				return err
-			}
-		}
-		var inner expr.Predicate
-		if p != nil {
-			inner = p.inner
 		}
 		if err := r.db.shipOp(r.applier, shipOp{kind: opDeleteWhere, rel: r.Name(), pred: inner}); err != nil {
-			removed = 0
 			return err
 		}
+		removed = n
 		return nil
 	})
 	return removed, err
 }
 
 // Update sets setColumn to newVal on every row whose column equals v,
-// returning the count. Indexes are rebuilt afterwards.
+// returning the count. It costs what DeleteWhere does.
 func (r *Relation) Update(column string, v Value, setColumn string, newVal Value) (int64, error) {
 	schema := r.Schema()
-	col := schema.FieldIndex(column)
 	setCol := schema.FieldIndex(setColumn)
-	if col < 0 || setCol < 0 {
-		return 0, fmt.Errorf("mmdb: relation %q lacks column %q or %q", r.Name(), column, setColumn)
+	if setCol < 0 {
+		return 0, fmt.Errorf("mmdb: relation %q has no column %q", r.Name(), setColumn)
 	}
-	probe := make(Tuple, schema.Width())
-	if err := schema.Set(probe, col, v); err != nil {
+	if err := schema.Set(make(Tuple, schema.Width()), setCol, newVal); err != nil {
+		return 0, err
+	}
+	eq, err := r.leaf(column, Eq, v)
+	if err != nil {
 		return 0, err
 	}
 	var changed int64
-	err := r.withIntent(lock.Exclusive, func() error {
-		var setErr error
-		err := r.rel.File.Rewrite(func(t tuple.Tuple) (tuple.Tuple, bool) {
-			if schema.CompareField(t, probe, col) != 0 {
-				return t, true
-			}
+	err = r.withIntent(lock.Exclusive, func() error {
+		n, err := r.rewrite(eq, func(t Tuple) Tuple {
 			out := t.Clone()
-			if err := schema.Set(out, setCol, newVal); err != nil && setErr == nil {
-				setErr = err
-				return t, true
-			}
-			changed++
-			return out, true
+			_ = schema.Set(out, setCol, newVal) // validated above
+			return out
 		})
-		if err == nil {
-			err = setErr
-		}
 		if err != nil {
-			changed = 0
 			return err
-		}
-		if changed > 0 {
-			if err := r.rebuildIndexes(); err != nil {
-				return err
-			}
 		}
 		if err := r.db.shipOp(r.applier, shipOp{
 			kind: opUpdate, rel: r.Name(),
 			column: column, value: v,
 			setColumn: setColumn, newValue: newVal,
 		}); err != nil {
-			changed = 0
 			return err
 		}
+		changed = n
 		return nil
 	})
 	return changed, err
 }
 
-func (r *Relation) rebuildIndexes() error {
-	for _, col := range r.rel.IndexedColumns() {
-		ix, _ := r.rel.Index(col)
-		if _, err := r.db.cat.BuildIndex(r.Name(), col, ix.Kind()); err != nil {
-			return err
+// rewrite replaces every row satisfying pred (every row, when nil) by
+// fn's result, or deletes it when fn returns nil, and keeps the indexes
+// in step entry by entry. It returns the rows matched. The caller holds
+// the exclusive intent.
+//
+// The matches are counted through pred's access path — an index probe
+// when the §2 cost model picks one — so the heap is searched back from
+// its tail only until all of them are seen; with a scan path every page
+// is searched. The heap is then compacted from that page, or from the
+// first page that is not full if that comes earlier, which leaves it
+// byte for byte as compacting the whole relation would. Nothing is
+// charged: the probe counts on a scratch clock.
+func (r *Relation) rewrite(pred expr.Predicate, fn func(Tuple) Tuple) (int64, error) {
+	file := r.rel.File
+	from := 0
+	if pred != nil {
+		k := int64(-1)
+		if path := chooseAccess(r.rel, pred, r.db.opts.Params); path.ix != nil {
+			k = 0
+			scratch := cost.NewClock(r.db.opts.Params)
+			if err := path.read(file, pred, scratch, func(Tuple) bool { k++; return true }); err != nil {
+				return 0, err
+			}
+		}
+		var err error
+		if from, err = file.TailStart(k, pred.Eval); err != nil {
+			return 0, err
 		}
 	}
-	return nil
+	var old, repl []Tuple
+	err := file.Rewrite(min(from, file.Packed()), func(t Tuple) (Tuple, bool) {
+		if pred != nil && !pred.Eval(t) {
+			return t, true
+		}
+		out := fn(t)
+		old, repl = append(old, t.Clone()), append(repl, out)
+		return out, out != nil
+	})
+	if err != nil {
+		return 0, err
+	}
+	schema := r.Schema()
+	for _, col := range r.rel.IndexedColumns() {
+		ix, _ := r.rel.Index(col)
+		for i, t := range old {
+			key := schema.KeyBytes(t, col)
+			switch out := repl[i]; {
+			case out == nil:
+				ix.Remove(key, t)
+			case bytes.Equal(key, schema.KeyBytes(out, col)):
+				ix.Replace(key, t, out.Clone())
+			default:
+				ix.Remove(key, t)
+				ix.Insert(schema.KeyBytes(out, col), out.Clone())
+			}
+		}
+	}
+	return int64(len(old)), nil
 }
 
 // AscendRange walks rows with column >= start in key order until fn
