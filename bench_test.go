@@ -7,6 +7,7 @@ package mmdb_test
 // EXPERIMENTS.md.
 
 import (
+	"context"
 	"fmt"
 	"mmdb"
 
@@ -246,5 +247,87 @@ func BenchmarkDeleteWhere(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// analyticDB loads the analytic workload's shape through the public API:
+// emp(id, dept, salary) with 100k rows over 1,000 departments and
+// proj(emp, hours) with 80k rows, under a 400-page budget split between
+// two query slots, so each statement gets a 200-page grant — smaller
+// than either relation.
+func analyticDB(b *testing.B) *mmdb.Database {
+	b.Helper()
+	const empRows, projRows = 100_000, 80_000
+	db, err := mmdb.Open(mmdb.Options{MemoryPages: 400, MaxConcurrentQueries: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	emp, err := db.CreateRelation("emp", mmdb.MustSchema(
+		mmdb.Field{Name: "id", Kind: mmdb.Int64},
+		mmdb.Field{Name: "dept", Kind: mmdb.Int64},
+		mmdb.Field{Name: "salary", Kind: mmdb.Int64},
+	))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := int64(0); i < empRows; i++ {
+		if err := emp.Insert(mmdb.IntValue(i), mmdb.IntValue(i*7919%1000), mmdb.IntValue(30_000+i*104_729%100_000)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	proj, err := db.CreateRelation("proj", mmdb.MustSchema(
+		mmdb.Field{Name: "emp", Kind: mmdb.Int64},
+		mmdb.Field{Name: "hours", Kind: mmdb.Int64},
+	))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := int64(0); i < projRows; i++ {
+		if err := proj.Insert(mmdb.IntValue(i*7919%projRows*empRows/projRows), mmdb.IntValue(1+i%200)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, r := range []*mmdb.Relation{emp, proj} {
+		if err := r.Flush(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	s, err := db.NewSession(context.Background())
+	if err != nil {
+		b.Fatal(err)
+	}
+	if got := s.GrantedPages(); got != 200 {
+		b.Fatalf("default grant is %d pages, want 200", got)
+	}
+	s.Close()
+	return db
+}
+
+// BenchmarkSQLTopKFiltered times the analytic top-k statement end to end
+// through Database.Query: about 100 of 100k rows qualify, and only those
+// are sorted.
+func BenchmarkSQLTopKFiltered(b *testing.B) {
+	db := analyticDB(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q := fmt.Sprintf("SELECT * FROM emp WHERE dept = %d ORDER BY salary DESC LIMIT 10", i%1000)
+		if res, err := db.Query(q); err != nil || len(res.Rows) != 10 {
+			b.Fatalf("%s: %v", q, err)
+		}
+	}
+}
+
+// BenchmarkSQLJoinFiltered times the analytic window join end to end
+// through Database.Query: a 2,000-id window of emp joined with proj.
+func BenchmarkSQLJoinFiltered(b *testing.B) {
+	db := analyticDB(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lo := i % 49 * 2000
+		q := fmt.Sprintf("SELECT emp.id, emp.salary, proj.hours FROM emp JOIN proj ON emp.id = proj.emp"+
+			" WHERE emp.id >= %d AND emp.id < %d", lo, lo+2000)
+		if res, err := db.Query(q); err != nil || len(res.Rows) == 0 {
+			b.Fatalf("%s: %v", q, err)
+		}
 	}
 }

@@ -19,7 +19,7 @@ import (
 
 // ErrReadOnlyReplica is returned when a write reaches a replica database:
 // replicas refuse exclusive relation intents at the lock layer, except for
-// the replication applier itself and session-private temporaries.
+// the replication applier itself and adopted planner outputs.
 var ErrReadOnlyReplica = errors.New("mmdb: database is a read-only replica")
 
 // ErrNotPrimary is the errors.Is sentinel for writes refused because the
@@ -307,8 +307,8 @@ func OpenCluster(primary Options, replicas int) (*Cluster, error) {
 // consulted by the lock table on every exclusive intent: the replication
 // applier passes (its calls carry applyContext — a capability of the
 // call, so no concurrent client write can borrow it), session-private
-// relations pass (temporaries and adopted planner outputs, registered in
-// localRes), everything else is a client write and is refused with the
+// relations pass (adopted planner outputs, registered in localRes),
+// everything else is a client write and is refused with the
 // cluster's typed not-primary error.
 func writeGuard(db *Database) func(ctx context.Context, res uint64) error {
 	return func(ctx context.Context, res uint64) error {
@@ -995,9 +995,6 @@ func (c *Cluster) Rejoin(ctx context.Context) error {
 	// passes its own write guard; its ship hook is nil, so nothing
 	// replicates.
 	for _, name := range db.cat.Names() {
-		if isTempRelation(name) {
-			continue
-		}
 		if _, ok := db.localRes.Load(catalog.ResourceID(name)); ok {
 			continue
 		}
@@ -1275,9 +1272,6 @@ func (c *Cluster) VerifyReplicas() error {
 		}
 		// No extra durable relations on the replica either.
 		for _, name := range r.db.cat.Names() {
-			if isTempRelation(name) {
-				continue
-			}
 			if _, ok := r.db.localRes.Load(catalog.ResourceID(name)); ok {
 				continue
 			}
@@ -1290,13 +1284,10 @@ func (c *Cluster) VerifyReplicas() error {
 }
 
 // shippedRelationsOf lists a database's replicated relations: everything
-// durable except temporaries and adopted (database-local) files.
+// durable except adopted (database-local) files.
 func (c *Cluster) shippedRelationsOf(db *Database) []string {
 	var out []string
 	for _, name := range db.cat.Names() {
-		if isTempRelation(name) {
-			continue
-		}
 		if _, ok := db.localRes.Load(catalog.ResourceID(name)); ok {
 			continue
 		}

@@ -8,6 +8,7 @@ package lock
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"mmdb/internal/wal"
@@ -59,30 +60,55 @@ func (s *state) compatible(txn wal.TxnID, mode Mode) bool {
 
 // Manager is the lock table. Not safe for concurrent use; the engine runs
 // it from the simulator's event loop.
+//
+// A resource has a state only while something holds, pre-commits or waits
+// for it: the state is freed when the last of these goes, so the table
+// stays as small as the live lock set however many distinct resources
+// are ever locked. Freed states and per-transaction hold sets are kept on
+// small free lists, so a steady stream of acquire/release cycles
+// allocates nothing.
 type Manager struct {
-	locks map[uint64]*state
-	held  map[wal.TxnID]map[uint64]struct{}
+	locks  map[uint64]*state
+	held   map[wal.TxnID]map[uint64]struct{}
+	queued map[wal.TxnID][]uint64 // resources txn has a queued request on
+
+	freeStates []*state
+	freeSets   []map[uint64]struct{}
 }
+
+// maxFree bounds each free list: enough for the concurrently live locks
+// of a busy engine, without pinning the peak forever.
+const maxFree = 64
 
 // NewManager returns an empty lock table.
 func NewManager() *Manager {
 	return &Manager{
-		locks: make(map[uint64]*state),
-		held:  make(map[wal.TxnID]map[uint64]struct{}),
+		locks:  make(map[uint64]*state),
+		held:   make(map[wal.TxnID]map[uint64]struct{}),
+		queued: make(map[wal.TxnID][]uint64),
 	}
 }
 
 func (m *Manager) stateOf(res uint64) *state {
-	s, ok := m.locks[res]
-	if !ok {
+	if s, ok := m.locks[res]; ok {
+		return s
+	}
+	var s *state
+	if n := len(m.freeStates); n > 0 {
+		s = m.freeStates[n-1]
+		m.freeStates = m.freeStates[:n-1]
+	} else {
 		s = &state{
 			holders:      make(map[wal.TxnID]Mode),
 			preCommitted: make(map[wal.TxnID]struct{}),
 		}
-		m.locks[res] = s
 	}
+	m.locks[res] = s
 	return s
 }
+
+// Len returns the number of resources that currently have lock state.
+func (m *Manager) Len() int { return len(m.locks) }
 
 // Acquire requests the lock on res for txn. If the lock is available the
 // request is granted before Acquire returns (grant is called synchronously)
@@ -103,21 +129,55 @@ func (m *Manager) Acquire(txn wal.TxnID, res uint64, mode Mode, grant GrantFunc)
 		return true
 	}
 	s.waiters = append(s.waiters, waiter{txn: txn, mode: mode, grant: grant})
+	m.queued[txn] = append(m.queued[txn], res)
 	return false
 }
 
 func (m *Manager) grantNow(s *state, txn wal.TxnID, res uint64, mode Mode, grant GrantFunc) {
 	s.holders[txn] = mode
-	if m.held[txn] == nil {
-		m.held[txn] = make(map[uint64]struct{})
+	set := m.held[txn]
+	if set == nil {
+		if n := len(m.freeSets); n > 0 {
+			set = m.freeSets[n-1]
+			m.freeSets = m.freeSets[:n-1]
+		} else {
+			set = make(map[uint64]struct{})
+		}
+		m.held[txn] = set
 	}
-	m.held[txn][res] = struct{}{}
+	set[res] = struct{}{}
 	deps := make([]wal.TxnID, 0, len(s.preCommitted))
 	for t := range s.preCommitted {
 		deps = append(deps, t)
 	}
-	sort.Slice(deps, func(i, j int) bool { return deps[i] < deps[j] })
+	slices.Sort(deps)
 	grant(deps)
+}
+
+// dropHeld forgets txn's hold set, keeping the emptied map for reuse.
+func (m *Manager) dropHeld(txn wal.TxnID) {
+	set, ok := m.held[txn]
+	if !ok {
+		return
+	}
+	delete(m.held, txn)
+	if len(m.freeSets) < maxFree {
+		clear(set)
+		m.freeSets = append(m.freeSets, set)
+	}
+}
+
+// unqueue forgets one queued request of txn on res.
+func (m *Manager) unqueue(txn wal.TxnID, res uint64) {
+	q := m.queued[txn]
+	if i := slices.Index(q, res); i >= 0 {
+		q = slices.Delete(q, i, i+1)
+	}
+	if len(q) == 0 {
+		delete(m.queued, txn)
+	} else {
+		m.queued[txn] = q
+	}
 }
 
 // PreCommit moves txn from the holding list to the pre-committed list on
@@ -130,7 +190,7 @@ func (m *Manager) PreCommit(txn wal.TxnID) {
 		s.preCommitted[txn] = struct{}{}
 		m.grantWaiters(s, res)
 	}
-	delete(m.held, txn)
+	m.dropHeld(txn)
 }
 
 // Finish removes a durably committed (or fully aborted) transaction from
@@ -143,31 +203,38 @@ func (m *Manager) Finish(txn wal.TxnID) {
 }
 
 // ReleaseAll drops txn's holds and queued requests without pre-committing
-// (the abort path) and grants eligible waiters.
+// (the abort path), grants eligible waiters and frees the states nothing
+// uses any more. It touches only the resources txn holds or waits for.
 func (m *Manager) ReleaseAll(txn wal.TxnID) {
 	for res := range m.held[txn] {
 		s := m.locks[res]
 		delete(s.holders, txn)
 		m.grantWaiters(s, res)
+		m.cleanup(res, s)
 	}
-	delete(m.held, txn)
-	for res, s := range m.locks {
-		filtered := s.waiters[:0]
-		for _, w := range s.waiters {
-			if w.txn != txn {
-				filtered = append(filtered, w)
-			}
+	m.dropHeld(txn)
+	for len(m.queued[txn]) > 0 {
+		q := m.queued[txn]
+		res := q[len(q)-1]
+		m.unqueue(txn, res)
+		s, ok := m.locks[res]
+		if !ok {
+			continue
 		}
-		s.waiters = filtered
+		s.waiters = slices.DeleteFunc(s.waiters, func(w waiter) bool { return w.txn == txn })
 		m.grantWaiters(s, res)
+		m.cleanup(res, s)
 	}
 }
 
 func (m *Manager) grantWaiters(s *state, res uint64) {
-	for len(s.waiters) > 0 {
+	// A grant callback may re-enter the table and free this state; stop
+	// once res no longer maps to s.
+	for len(s.waiters) > 0 && m.locks[res] == s {
 		w := s.waiters[0]
 		if cur, ok := s.holders[w.txn]; ok && (cur == Exclusive || w.mode == Shared) {
 			s.waiters = s.waiters[1:]
+			m.unqueue(w.txn, res)
 			w.grant(nil)
 			continue
 		}
@@ -175,13 +242,21 @@ func (m *Manager) grantWaiters(s *state, res uint64) {
 			return
 		}
 		s.waiters = s.waiters[1:]
+		m.unqueue(w.txn, res)
 		m.grantNow(s, w.txn, res, w.mode, w.grant)
 	}
 }
 
+// cleanup frees res's state once nothing holds, pre-commits or waits for
+// it, keeping the state for reuse.
 func (m *Manager) cleanup(res uint64, s *state) {
-	if len(s.holders) == 0 && len(s.preCommitted) == 0 && len(s.waiters) == 0 {
-		delete(m.locks, res)
+	if m.locks[res] != s || len(s.holders) != 0 || len(s.preCommitted) != 0 || len(s.waiters) != 0 {
+		return
+	}
+	delete(m.locks, res)
+	if len(m.freeStates) < maxFree {
+		s.waiters = s.waiters[:0]
+		m.freeStates = append(m.freeStates, s)
 	}
 }
 

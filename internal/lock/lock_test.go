@@ -150,3 +150,56 @@ func TestFinishClearsAllPreCommittedEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestReleaseFreesLockState is the lock-table leak regression: every
+// resource ever locked used to keep its state after the last release.
+// After acquire/release cycles over N distinct resources — granted at
+// once, queued behind a holder, and queued then abandoned — the table is
+// empty again.
+func TestReleaseFreesLockState(t *testing.T) {
+	m := NewManager()
+	const n = 500
+	for i := 0; i < n; i++ {
+		res := uint64(i)
+		txn := wal.TxnID(3 * i)
+		mustGrant(t, m, txn+1, res, Exclusive)
+		m.Acquire(txn+2, res, Shared, func([]wal.TxnID) {})
+		m.Acquire(txn+3, res, Exclusive, func([]wal.TxnID) { t.Fatal("abandoned request granted") })
+		m.ReleaseAll(txn + 3)
+		m.ReleaseAll(txn + 1) // grants txn+2
+		if h := m.Holders(res); len(h) != 1 || h[0] != txn+2 {
+			t.Fatalf("resource %d holders %v", res, h)
+		}
+		m.ReleaseAll(txn + 2)
+	}
+	if got := m.Len(); got != 0 {
+		t.Fatalf("%d lock states left after %d released resources", got, n)
+	}
+	if len(m.held) != 0 || len(m.queued) != 0 {
+		t.Fatalf("held %d, queued %d transactions after release", len(m.held), len(m.queued))
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReleaseSteadyStateAllocs: a released state is recycled, so
+// re-acquiring a resource by a fresh transaction allocates nothing.
+func TestReleaseSteadyStateAllocs(t *testing.T) {
+	m := NewManager()
+	grant := func([]wal.TxnID) {}
+	txn := wal.TxnID(0)
+	cycle := func() {
+		txn++
+		m.Acquire(txn, 42, Exclusive, grant)
+		m.Acquire(txn, 43, Shared, grant)
+		m.ReleaseAll(txn)
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+		t.Fatalf("acquire/release cycle allocates %.1f times", allocs)
+	}
+	if got := m.Len(); got != 0 {
+		t.Fatalf("%d lock states left", got)
+	}
+}

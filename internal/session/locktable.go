@@ -247,3 +247,11 @@ func (t *LockTable) CheckInvariants() error {
 	defer t.mu.Unlock()
 	return t.m.CheckInvariants()
 }
+
+// Len reports how many resources have lock state (for tests): it stays
+// at the live lock set, not at every resource ever locked.
+func (t *LockTable) Len() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.m.Len()
+}

@@ -26,7 +26,6 @@ package mmdb
 import (
 	"context"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -288,7 +287,7 @@ type Database struct {
 	// intent; it may fail (a fenced or just-demoted primary), failing the
 	// mutating call. readOnly marks a replica database: exclusive intents
 	// are refused at the lock layer except for the replication applier
-	// (whose calls carry applyContext) and session-private temporaries
+	// (whose calls carry applyContext) and adopted planner outputs
 	// (registered in localRes). Both are atomic because promotion flips
 	// them at runtime while sessions are live; cluster back-points to the
 	// owning Cluster so refusals can carry the current epoch and primary
@@ -421,11 +420,6 @@ func (db *Database) ArmFaults(inj *FaultInjector) {
 	db.disk.SetInjector(inj)
 }
 
-// isTempRelation reports whether name is a session-private temporary
-// (the SQL layer's filtered materializations): never replicated, and
-// permitted on read-only replicas.
-func isTempRelation(name string) bool { return strings.HasPrefix(name, "sql.tmp.") }
-
 // CreateRelation registers an empty relation. Like every other durable
 // mutation it takes an exclusive relation intent, so a fencing guard or
 // quiesce barrier sees creates too.
@@ -437,12 +431,7 @@ func (db *Database) CreateRelation(name string, schema *Schema) (*Relation, erro
 // replication applier's write capability (applyContext); the returned
 // handle carries it on.
 func (db *Database) createRelation(ctx context.Context, name string, schema *Schema) (*Relation, error) {
-	if isTempRelation(name) {
-		// Session-private temporaries are always database-local: register
-		// before locking so a write-fenced database (replica, or a primary
-		// mid-promotion) still admits the exclusive intent.
-		db.localRes.Store(catalog.ResourceID(name), struct{}{})
-	} else if db.readOnly.Load() && !db.isApply(ctx) {
+	if db.readOnly.Load() && !db.isApply(ctx) {
 		return nil, db.writeRefused()
 	}
 	unlock, err := db.lockRelations(ctx, lock.Exclusive, name)
@@ -488,8 +477,8 @@ func (db *Database) dropRelation(ctx context.Context, name string) error {
 	}
 	defer unlock()
 	// Ship before dropping: a refused ship (fenced primary) must leave
-	// the relation in place, and drops of local-only relations
-	// (temporaries, adopted files) must not reach replicas — shipOp
+	// the relation in place, and drops of local-only (adopted) relations
+	// must not reach replicas — shipOp
 	// checks the local marker before it is forgotten. The existence
 	// check first keeps a nonexistent-relation error from replicating.
 	if _, err := db.cat.Get(name); err != nil {
@@ -520,15 +509,15 @@ func (db *Database) adoptFile(f *heap.File) (*Relation, error) {
 	return &Relation{db: db, rel: r}, nil
 }
 
-// shipOp forwards a mutation to the cluster ship hook, if any. Temporaries
-// and local (adopted) relations stay local: every database — primary or
-// replica — materializes its own, and the replication applier's own
-// writes never ship. A ship refusal (the database was fenced or demoted
+// shipOp forwards a mutation to the cluster ship hook, if any. Local
+// (adopted) relations stay local: every database — primary or replica —
+// materializes its own, and the replication applier's own writes never
+// ship. A ship refusal (the database was fenced or demoted
 // mid-call) fails the mutation, and so does a client write reaching a
 // read-only cluster node with no hook: it passed the write guard before a
 // fence, and acknowledging it would lose it.
 func (db *Database) shipOp(applier bool, op shipOp) error {
-	if applier || isTempRelation(op.rel) {
+	if applier {
 		return nil
 	}
 	if _, ok := db.localRes.Load(catalog.ResourceID(op.rel)); ok {

@@ -195,12 +195,19 @@ func (s *Session) Join(algorithm JoinAlgorithm, left, right, leftCol, rightCol s
 	if rc < 0 {
 		return JoinResult{}, fmt.Errorf("mmdb: %s has no column %q", right, rightCol)
 	}
+	return s.joinFiles(algorithm, files[0], files[1], lc, rc, emit)
+}
+
+// joinFiles joins heap files r and t on columns rc = tc with the session's
+// join dispatcher and grant, building on the smaller file and streaming
+// pairs to emit in (r, t) order.
+func (s *Session) joinFiles(algorithm JoinAlgorithm, r, t *heap.File, rc, tc int, emit func(l, r Tuple)) (JoinResult, error) {
 	if algorithm == AutoJoin {
 		algorithm = HybridHash
 	}
 	spec := join.Spec{
-		R: files[0], S: files[1],
-		RCol: lc, SCol: rc,
+		R: r, S: t,
+		RCol: rc, SCol: tc,
 		M:           s.grant.Pages(),
 		F:           s.db.opts.Params.F,
 		LiveM:       s.grant.Pages,
@@ -354,16 +361,24 @@ func (s *Session) OrderBy(relation, column string, fn func(Tuple) bool) error {
 	if col < 0 {
 		return fmt.Errorf("mmdb: %s has no column %q", relation, column)
 	}
-	capacity := int(float64(s.grant.Pages()) * float64(files[0].TuplesPerPage()) / s.db.opts.Params.F)
+	return s.orderFile(files[0], col, fn)
+}
+
+// orderFile streams file's rows in ascending order of column col through
+// the §3.4 external sort, sized by the session's grant, until fn returns
+// false. The sort's read of file is uncharged, as for a base relation;
+// its runs and merges are charged.
+func (s *Session) orderFile(file *heap.File, col int, fn func(Tuple) bool) error {
+	capacity := int(float64(s.grant.Pages()) * float64(file.TuplesPerPage()) / s.db.opts.Params.F)
 	if capacity < 2 {
 		capacity = 2
 	}
 	fanout := s.grant.Pages()
-	stream, stats, err := extsort.SortWith(files[0], extsort.Config{
+	stream, stats, err := extsort.SortWith(file, extsort.Config{
 		Col:         col,
 		MemTuples:   capacity,
 		MaxFanout:   fanout,
-		Prefix:      fmt.Sprintf("orderby.%s.%d", relation, orderBySeq.Add(1)),
+		Prefix:      fmt.Sprintf("orderby.%s.%d", file.Name(), orderBySeq.Add(1)),
 		Input:       simio.Uncharged,
 		Chunks:      s.db.opts.SortChunks,
 		Parallelism: s.db.opts.Parallelism,

@@ -10,6 +10,7 @@ import (
 
 	"mmdb/internal/agg"
 	"mmdb/internal/catalog"
+	"mmdb/internal/expr"
 	"mmdb/internal/heap"
 	"mmdb/internal/simio"
 	sqlfront "mmdb/internal/sql"
@@ -56,8 +57,8 @@ func (c sqlCatalog) Table(name string) (*tuple.Schema, bool) {
 	return rel.Schema(), true
 }
 
-// sqlTmpSeq names the per-statement temporaries (filtered aggregation
-// inputs) uniquely across concurrent sessions.
+// sqlTmpSeq names the per-statement filtered inputs (whereInput) uniquely
+// on the disk every session shares.
 var sqlTmpSeq atomic.Uint64
 
 // Query parses, binds and executes one SQL statement (docs/SQL.md) in
@@ -192,8 +193,8 @@ func sortAndTrim(b *sqlfront.BoundSelect, outSchema *Schema, rows []Tuple, col i
 }
 
 // execScan is the single-table path: the WHERE clause's access path
-// (a charged scan, or an index probe when the §2 cost model prefers one),
-// with the §3.4 sort machinery underneath when ORDER BY is present.
+// (a charged scan, or an index probe when the §2 cost model prefers one).
+// With ORDER BY, the §3.4 sort runs over just the rows that path returns.
 func (s *Session) execScan(b *sqlfront.BoundSelect, outSchema *Schema) (*SQLResult, error) {
 	name := b.Tables[0].Name
 	schema := b.Tables[0].Schema
@@ -216,10 +217,19 @@ func (s *Session) execScan(b *sqlfront.BoundSelect, outSchema *Schema) (*SQLResu
 			return nil, err
 		}
 	} else {
-		// ORDER BY: stream the external sort ascending; DESC reverses
-		// the collected output (the sort column need not be projected,
-		// so ordering happens here, not post-projection).
-		if err := s.OrderBy(name, schema.Field(b.OrderCol).Name, filter(pred, s.clock, collect)); err != nil {
+		rels, files, err := s.lockAndView(name)
+		if err != nil {
+			return nil, err
+		}
+		in, drop, err := s.whereInput(rels[0], files[0], pred)
+		if err != nil {
+			return nil, err
+		}
+		defer drop()
+		// Stream the external sort ascending; DESC reverses the collected
+		// output (the sort column need not be projected, so ordering
+		// happens here, not post-projection).
+		if err := s.orderFile(in, b.OrderCol, collect); err != nil {
 			return nil, err
 		}
 		if b.Desc {
@@ -237,25 +247,54 @@ func (s *Session) execScan(b *sqlfront.BoundSelect, outSchema *Schema) (*SQLResu
 	return &SQLResult{Schema: outSchema, Rows: rows}, nil
 }
 
+// whereInput returns the heap file an operator reads for one table of a
+// statement: the session's view of the relation itself when pred is nil,
+// otherwise a fresh file holding just the rows satisfying pred, read
+// through its access path (docs/SQL.md §5.1). The fresh file is private
+// to the session: it lives on the session's disk view, outside the
+// catalog, so it takes no locks and never replicates. Only the access
+// path's read is charged: the file is written uncharged, and the
+// operator's initial read of it is uncharged as for a base relation (the
+// paper's §3 accounting). drop releases it.
+func (s *Session) whereInput(rel *catalog.Relation, file *heap.File, pred expr.Predicate) (in *heap.File, drop func(), err error) {
+	if pred == nil {
+		return file, func() {}, nil
+	}
+	tmp, err := heap.Create(s.view, fmt.Sprintf("sql.tmp.%d", sqlTmpSeq.Add(1)), file.Schema())
+	if err != nil {
+		return nil, nil, err
+	}
+	var appendErr error
+	err = chooseAccess(rel, pred, s.db.opts.Params).read(file, pred, s.clock, func(t Tuple) bool {
+		appendErr = tmp.Append(t, simio.Uncharged)
+		return appendErr == nil
+	})
+	if err == nil {
+		err = appendErr
+	}
+	if err == nil {
+		err = tmp.Flush(simio.Uncharged)
+	}
+	if err != nil {
+		tmp.Drop()
+		return nil, nil, err
+	}
+	return tmp, tmp.Drop, nil
+}
+
 // execDistinct is the §3.5.1 duplicate-elimination form, on the engine's
 // hash distinct with a deterministic ascending sort of the values.
 func (s *Session) execDistinct(b *sqlfront.BoundSelect, outSchema *Schema) (*SQLResult, error) {
-	name := b.Tables[0].Name
-	schema := b.Tables[0].Schema
-	if b.Preds[0] != nil {
-		tmp, err := s.materializeFiltered(b)
-		if err != nil {
-			return nil, err
-		}
-		defer tmp.drop()
-		return s.distinctRows(b, outSchema, tmp.file)
-	}
-	_, files, err := s.lockAndView(name)
+	rels, files, err := s.lockAndView(b.Tables[0].Name)
 	if err != nil {
 		return nil, err
 	}
-	_ = schema
-	return s.distinctRows(b, outSchema, files[0])
+	in, drop, err := s.whereInput(rels[0], files[0], b.Preds[0])
+	if err != nil {
+		return nil, err
+	}
+	defer drop()
+	return s.distinctRows(b, outSchema, in)
 }
 
 func (s *Session) distinctRows(b *sqlfront.BoundSelect, outSchema *Schema, file *heap.File) (*SQLResult, error) {
@@ -286,21 +325,15 @@ func (s *Session) distinctRows(b *sqlfront.BoundSelect, outSchema *Schema, file 
 // execGrouped runs the §3.9 hash aggregation, sorting groups ascending
 // by key for the deterministic output order docs/SQL.md §3.5 promises.
 func (s *Session) execGrouped(b *sqlfront.BoundSelect, outSchema *Schema) (*SQLResult, error) {
-	var input *heap.File
-	if b.Preds[0] != nil {
-		tmp, err := s.materializeFiltered(b)
-		if err != nil {
-			return nil, err
-		}
-		defer tmp.drop()
-		input = tmp.file
-	} else {
-		_, files, err := s.lockAndView(b.Tables[0].Name)
-		if err != nil {
-			return nil, err
-		}
-		input = files[0]
+	rels, files, err := s.lockAndView(b.Tables[0].Name)
+	if err != nil {
+		return nil, err
 	}
+	input, drop, err := s.whereInput(rels[0], files[0], b.Preds[0])
+	if err != nil {
+		return nil, err
+	}
+	defer drop()
 	res, err := agg.Hash(agg.Spec{
 		Input:       input,
 		GroupCol:    b.GroupBy,
@@ -405,9 +438,10 @@ func (s *Session) execGlobalAgg(b *sqlfront.BoundSelect, outSchema *Schema) (*SQ
 	return &SQLResult{Schema: outSchema, Rows: []Tuple{out}}, nil
 }
 
-// execJoin2 runs a two-table equijoin on the session's join dispatcher,
-// applying each side's residual predicate to the streamed pairs and
-// projecting on the fly.
+// execJoin2 runs a two-table equijoin on the session's join dispatcher.
+// Each side's predicate runs first, through its access path, so the join
+// builds and probes only the qualifying rows; pairs are projected on the
+// fly.
 func (s *Session) execJoin2(b *sqlfront.BoundSelect, outSchema *Schema) (*SQLResult, error) {
 	j := b.Joins[0]
 	// Normalize the edge to (table0 column, table1 column).
@@ -415,42 +449,38 @@ func (s *Session) execJoin2(b *sqlfront.BoundSelect, outSchema *Schema) (*SQLRes
 	if j.LeftTable == 1 {
 		lc, rc = j.RightCol, j.LeftCol
 	}
+	rels, files, err := s.lockAndView(b.Tables[0].Name, b.Tables[1].Name)
+	if err != nil {
+		return nil, err
+	}
+	var in [2]*heap.File
+	for i := range in {
+		f, drop, err := s.whereInput(rels[i], files[i], b.Preds[i])
+		if err != nil {
+			return nil, err
+		}
+		defer drop()
+		in[i] = f
+	}
 	s0, s1 := b.Tables[0].Schema, b.Tables[1].Schema
-	p0, p1 := b.Preds[0], b.Preds[1]
-	l0, l1 := predLeaves(p0), predLeaves(p1)
 	var rows []Tuple
 	var emitErr error
-	_, err := s.Join(AutoJoin,
-		b.Tables[0].Name, b.Tables[1].Name,
-		s0.Field(lc).Name, s1.Field(rc).Name,
-		func(l, r Tuple) {
-			if emitErr != nil {
-				return
+	_, err = s.joinFiles(AutoJoin, in[0], in[1], lc, rc, func(l, r Tuple) {
+		if emitErr != nil {
+			return
+		}
+		out, err := projectRow(outSchema, b, func(table int) (Tuple, *Schema) {
+			if table == 0 {
+				return l, s0
 			}
-			if p0 != nil {
-				s.clock.Comps(l0)
-				if !p0.Eval(l) {
-					return
-				}
-			}
-			if p1 != nil {
-				s.clock.Comps(l1)
-				if !p1.Eval(r) {
-					return
-				}
-			}
-			out, err := projectRow(outSchema, b, func(table int) (Tuple, *Schema) {
-				if table == 0 {
-					return l, s0
-				}
-				return r, s1
-			})
-			if err != nil {
-				emitErr = err
-				return
-			}
-			rows = append(rows, out)
+			return r, s1
 		})
+		if err != nil {
+			emitErr = err
+			return
+		}
+		rows = append(rows, out)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -539,53 +569,6 @@ func (s *Session) execPlanned(b *sqlfront.BoundSelect, outSchema *Schema) (*SQLR
 	}
 	rows = sortAndTrim(b, outSchema, rows, b.OrderOut)
 	return &SQLResult{Schema: outSchema, Rows: rows}, nil
-}
-
-// sqlTemp is a filtered materialization: a catalog-registered temporary
-// holding the rows of table 0 that satisfy its predicate, viewed through
-// the session's disk so later passes charge the session clock.
-type sqlTemp struct {
-	db   *Database
-	name string
-	file *heap.File
-}
-
-func (t *sqlTemp) drop() { _ = t.db.DropRelation(t.name) }
-
-// materializeFiltered reads table 0's rows satisfying its predicate,
-// through the WHERE clause's access path, into a fresh uncharged
-// temporary (the §3 convention: intermediates are written free, their
-// later reads are charged).
-func (s *Session) materializeFiltered(b *sqlfront.BoundSelect) (*sqlTemp, error) {
-	tmpName := fmt.Sprintf("sql.tmp.%d", sqlTmpSeq.Add(1))
-	tmpRel, err := s.db.CreateRelation(tmpName, b.Tables[0].Schema)
-	if err != nil {
-		return nil, err
-	}
-	var appendErr error
-	err = s.readWhere(b.Tables[0].Name, b.Preds[0], func(t Tuple) bool {
-		if e := tmpRel.rel.File.Append(t.Clone(), simio.Uncharged); e != nil {
-			appendErr = e
-			return false
-		}
-		return true
-	})
-	if err == nil {
-		err = appendErr
-	}
-	if err == nil {
-		err = tmpRel.rel.File.Flush(simio.Uncharged)
-	}
-	if err != nil {
-		_ = s.db.DropRelation(tmpName)
-		return nil, err
-	}
-	view, err := tmpRel.rel.File.OnDisk(s.view)
-	if err != nil {
-		_ = s.db.DropRelation(tmpName)
-		return nil, err
-	}
-	return &sqlTemp{db: s.db, name: tmpName, file: view}, nil
 }
 
 // execInsert appends the bound rows (uncharged, index-maintaining — the
