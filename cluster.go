@@ -70,7 +70,7 @@ func (e *LostTailError) Error() string {
 func (e *LostTailError) Lost() uint64 { return e.AckedLSN - e.SettledLSN }
 
 // shipOpKind enumerates the replicated mutations. Everything a primary
-// does to durable relations reduces to these seven logical operations;
+// does to durable relations reduces to these eight logical operations;
 // replaying them in ship order on a replica that started from the same
 // (empty) state reproduces the primary byte for byte, because every
 // operation is deterministic.
@@ -80,6 +80,7 @@ const (
 	opCreateRelation shipOpKind = iota
 	opDropRelation
 	opInsert
+	opInsertBatch // one INSERT statement: its rows, then a flush
 	opFlush
 	opIndex
 	opDeleteWhere
@@ -91,13 +92,15 @@ const (
 // replicas publish it as their applied horizon once the op lands. epoch
 // records which primary produced it: after a lossy failover, stale ops
 // above the old epoch's cut LSN are superseded history and appliers
-// discard them instead of diverging.
+// discard them instead of diverging. An op owns its tuple and tuples, and
+// once enqueued they are read-only (see enqueue).
 type shipOp struct {
 	lsn       uint64
 	epoch     uint64
 	kind      shipOpKind
 	rel       string
 	tuple     Tuple
+	tuples    []Tuple
 	schema    *Schema
 	column    string
 	setColumn string
@@ -346,6 +349,11 @@ func (c *Cluster) shipFrom(epoch uint64) shipFn {
 // even severed links (discarding), so enqueue cannot wedge. The op is
 // also retained in the pending tail (the durable-WAL model Failover
 // replays from).
+//
+// The pending tail and every replica link share the op's tuples without
+// copying them. That is safe because no one writes them once enqueued:
+// the primary handed them over with the op, and an applier only reads
+// them — the heap and the indexes it inserts into keep their own copies.
 func (c *Cluster) enqueue(epoch uint64, op shipOp) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -359,19 +367,10 @@ func (c *Cluster) enqueue(epoch uint64, op shipOp) error {
 	op.lsn = c.seq
 	op.epoch = epoch
 	c.lsn.Store(c.seq)
-	keep := op
-	if op.tuple != nil {
-		keep.tuple = op.tuple.Clone()
-	}
-	c.pending = append(c.pending, keep)
+	c.pending = append(c.pending, op)
 	c.trimPendingLocked()
 	for _, r := range *c.reps.Load() {
-		ro := op
-		if op.tuple != nil {
-			// Each replica retains its copy in its own heap file.
-			ro.tuple = op.tuple.Clone()
-		}
-		r.ch <- ro
+		r.ch <- op
 	}
 	return nil
 }
@@ -518,6 +517,8 @@ func (r *clusterReplica) apply(op shipOp) error {
 	switch op.kind {
 	case opInsert:
 		return rel.InsertTuple(op.tuple)
+	case opInsertBatch:
+		return rel.insertRows(op.tuples)
 	case opFlush:
 		return rel.Flush()
 	case opIndex:

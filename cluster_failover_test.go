@@ -607,3 +607,102 @@ func TestFailoverRefusesWriterQueuedPastFence(t *testing.T) {
 		t.Fatalf("new primary holds %d rows of a refused write", n)
 	}
 }
+
+// TestPromoteFenceInsertBatchAllOrNone: a promotion fence lands while a
+// multi-row INSERT is queued on its relation, and another multi-row
+// INSERT reaches the old primary after the fence. Each statement must
+// end on every node with all of its rows or none of them — the one that
+// got in ahead of the fence with all, the one it refused with none —
+// and the nodes must agree byte for byte.
+func TestPromoteFenceInsertBatchAllOrNone(t *testing.T) {
+	ctx := failoverCtx(t)
+	c, err := OpenCluster(Options{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	old := c.Primary()
+	for _, name := range []string{"kv", "probe"} {
+		if _, err := old.CreateRelation(name, MustSchema(
+			Field{Name: "k", Kind: Int64}, Field{Name: "v", Kind: Int64})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	kv, _ := old.Relation("kv")
+	if err := kv.CreateIndex("k", BTree); err != nil {
+		t.Fatal(err)
+	}
+
+	// Queue the first statement behind a held intent, so it has passed
+	// the write guard when the fence goes up.
+	unlock, err := old.lockRelations(ctx, lock.Exclusive, "kv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	queued := make(chan error, 1)
+	go func() {
+		_, err := old.QueryContext(ctx, "INSERT INTO kv VALUES (1, 10), (2, 20), (3, 30)")
+		queued <- err
+	}()
+	for {
+		if pending, _ := old.locks.ExclusiveInFlight(); pending == 1 {
+			break
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+	promoted := make(chan error, 1)
+	go func() { promoted <- c.Promote(ctx, 0) }()
+	// The fence is up once a fresh exclusive intent is refused.
+	for {
+		u, err := old.lockRelations(ctx, lock.Exclusive, "probe")
+		if err != nil {
+			break
+		}
+		u()
+		time.Sleep(50 * time.Microsecond)
+	}
+	unlock()
+	if err := <-promoted; err != nil {
+		t.Fatalf("promote: %v", err)
+	}
+	queuedErr := <-queued
+	_, lateErr := old.QueryContext(ctx, "INSERT INTO kv VALUES (4, 40), (5, 50), (6, 60)")
+	if !errors.Is(lateErr, ErrNotPrimary) {
+		t.Fatalf("INSERT on the fenced old primary: %v, want ErrNotPrimary", lateErr)
+	}
+	waitCaughtUp(t, c)
+
+	for _, node := range []string{"p", "r0"} {
+		rel, err := c.DatabaseOf(node).Relation("kv")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, stmt := range []struct {
+			keys []int64
+			err  error
+		}{{[]int64{1, 2, 3}, queuedErr}, {[]int64{4, 5, 6}, lateErr}} {
+			held := 0
+			for _, k := range stmt.keys {
+				rows, err := rel.Lookup("k", IntValue(k))
+				if err != nil {
+					t.Fatal(err)
+				}
+				held += len(rows)
+			}
+			want := len(stmt.keys)
+			if stmt.err != nil {
+				want = 0
+			}
+			if held != want {
+				t.Errorf("node %s holds %d of the rows %v (statement error %v), want %d",
+					node, held, stmt.keys, stmt.err, want)
+			}
+		}
+	}
+	if queuedErr != nil {
+		t.Errorf("the INSERT queued ahead of the fence failed: %v", queuedErr)
+	}
+	if err := c.VerifyReplicas(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -13,7 +13,7 @@ func benchTree(n int) (*Tree, []int64) {
 	keys := make([]int64, n)
 	for i, k := range rng.Perm(n) {
 		keys[i] = int64(k)
-		tr.Insert(key(int64(k)), make(tuple.Tuple, 100))
+		tr.Insert(key(int64(k)), wideTup(int64(k), 100))
 	}
 	return tr, keys
 }
@@ -23,7 +23,9 @@ func BenchmarkInsert(b *testing.B) {
 	t := make(tuple.Tuple, 100)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.Insert(key(int64(i*2654435761)), t)
+		k := key(int64(i * 2654435761))
+		copy(t, k)
+		tr.Insert(k, t)
 	}
 }
 
@@ -53,7 +55,7 @@ func BenchmarkBulkLoad(b *testing.B) {
 	tups := make([]tuple.Tuple, n)
 	for i := 0; i < n; i++ {
 		keys[i] = key(int64(i))
-		tups[i] = make(tuple.Tuple, 100)
+		tups[i] = wideTup(int64(i), 100)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

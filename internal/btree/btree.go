@@ -3,11 +3,15 @@
 //
 // Geometry follows the paper exactly: with page size P, key width K and
 // pointer width B, an interior node holds up to P/(K+B) children and a
-// leaf holds up to P/L tuples of width L. Nodes are kept as in-memory
-// structures carrying page IDs so the Table 1 experiments can replay
-// traversals through a buffer pool; Yao's observation that nodes average
-// 69% full emerges from random insertion and is also available directly as
-// a bulk-load fill factor.
+// leaf holds up to P/L tuples of width L. A leaf is stored as such a
+// page: its tuples packed into one byte array, each keyed by the K bytes
+// at Config.KeyOffset within it, so an entry costs L bytes and no
+// allocation of its own. The array has room for P/L tuples, except that a
+// split trims the half that takes no new entry to exactly the tuples it
+// holds (see insert). Nodes carry page IDs so the Table 1 experiments can
+// replay traversals through a buffer pool; Yao's observation that nodes
+// average 69% full emerges from random insertion and is also available
+// directly as a bulk-load fill factor.
 package btree
 
 import (
@@ -36,6 +40,7 @@ type Config struct {
 	KeyWidth     int // the paper's K (bytes)
 	PointerWidth int // the paper's B (bytes); 0 means 4
 	TupleWidth   int // the paper's L (bytes)
+	KeyOffset    int // where each tuple holds its key (bytes)
 }
 
 func (c Config) withDefaults() Config {
@@ -62,6 +67,10 @@ func (c Config) validate() error {
 	if c.KeyWidth <= 0 || c.TupleWidth <= 0 {
 		return fmt.Errorf("btree: KeyWidth and TupleWidth must be positive: %+v", c)
 	}
+	if c.KeyOffset < 0 || c.KeyOffset+c.KeyWidth > c.TupleWidth {
+		return fmt.Errorf("btree: key at bytes [%d,%d) lies outside a %d-byte tuple",
+			c.KeyOffset, c.KeyOffset+c.KeyWidth, c.TupleWidth)
+	}
 	if c.Fanout() < 3 {
 		return fmt.Errorf("btree: fanout %d too small (page %d, key %d, pointer %d)",
 			c.Fanout(), c.PageSize, c.KeyWidth, c.PointerWidth)
@@ -76,11 +85,14 @@ type treeNode interface {
 	nodeID() NodeID
 }
 
+// leaf is one leaf page. Entry i's tuple is tups[i*L:(i+1)*L]. The array
+// has room for at least count and at most LeafCapacity tuples; the first
+// count are live, in key order, and the rest are zero.
 type leaf struct {
-	id   NodeID
-	keys [][]byte
-	tups []tuple.Tuple
-	next *leaf
+	id    NodeID
+	count int
+	tups  []byte
+	next  *leaf
 }
 
 func (l *leaf) nodeID() NodeID { return l.id }
@@ -94,7 +106,9 @@ type interior struct {
 func (n *interior) nodeID() NodeID { return n.id }
 
 // Tree is a B+-tree over fixed-width tuples keyed by an order-preserving
-// byte string. Duplicate keys are allowed. Not safe for concurrent use.
+// byte string each tuple holds at Config.KeyOffset. Duplicate keys are
+// allowed. The tree stores copies of the tuples it is given. Concurrent
+// readers are safe; a mutation must run alone.
 type Tree struct {
 	cfg       Config
 	root      treeNode
@@ -149,11 +163,88 @@ func (t *Tree) Comparisons() int64 { return t.comps.Load() }
 // ResetComparisons zeroes the comparison counter.
 func (t *Tree) ResetComparisons() { t.comps.Store(0) }
 
-func (t *Tree) newLeaf() *leaf {
+// newLeaf allocates an empty leaf with room for n tuples.
+func (t *Tree) newLeaf(n int) *leaf {
 	t.leaves++
 	id := t.nextPage
 	t.nextPage++
-	return &leaf{id: id}
+	return &leaf{id: id, tups: make([]byte, n*t.cfg.TupleWidth)}
+}
+
+// room returns how many tuples l's array has room for.
+func (t *Tree) room(l *leaf) int { return len(l.tups) / t.cfg.TupleWidth }
+
+// resize gives l an array with room for exactly n >= l.count tuples.
+func (t *Tree) resize(l *leaf, n int) {
+	tups := make([]byte, n*t.cfg.TupleWidth)
+	copy(tups, l.tups[:l.count*t.cfg.TupleWidth])
+	l.tups = tups
+}
+
+// keyOf returns a view of tup's key.
+func (t *Tree) keyOf(tup []byte) []byte {
+	o := t.cfg.KeyOffset
+	return tup[o : o+t.cfg.KeyWidth : o+t.cfg.KeyWidth]
+}
+
+// key returns a view of entry i's key in l.
+func (t *Tree) key(l *leaf, i int) []byte { return t.keyOf(t.tup(l, i)) }
+
+// tup returns a view of entry i's tuple in l.
+func (t *Tree) tup(l *leaf, i int) tuple.Tuple {
+	w := t.cfg.TupleWidth
+	return tuple.Tuple(l.tups[i*w : (i+1)*w : (i+1)*w])
+}
+
+// checkTuple panics unless tup is a tuple of the tree's width holding
+// key: a caller bug that would otherwise misplace the entry.
+func (t *Tree) checkTuple(key []byte, tup tuple.Tuple) {
+	if len(tup) != t.cfg.TupleWidth {
+		panic(fmt.Sprintf("btree: tuple width %d, configured %d", len(tup), t.cfg.TupleWidth))
+	}
+	if !bytes.Equal(key, t.keyOf(tup)) {
+		panic(fmt.Sprintf("btree: key %x, but the tuple holds %x", key, t.keyOf(tup)))
+	}
+}
+
+// put inserts tup as entry i of l, which has a free slot.
+func (t *Tree) put(l *leaf, i int, tup tuple.Tuple) {
+	w := t.cfg.TupleWidth
+	copy(l.tups[(i+1)*w:], l.tups[i*w:l.count*w])
+	copy(l.tups[i*w:], tup)
+	l.count++
+}
+
+// del removes entry i of l, zeroing the slot it frees.
+func (t *Tree) del(l *leaf, i int) {
+	w := t.cfg.TupleWidth
+	copy(l.tups[i*w:], l.tups[(i+1)*w:l.count*w])
+	l.count--
+	clear(l.tups[l.count*w : (l.count+1)*w])
+}
+
+// moveTail moves entries [from, count) of l to the empty leaf r.
+func (t *Tree) moveTail(l *leaf, from int, r *leaf) {
+	w := t.cfg.TupleWidth
+	copy(r.tups, l.tups[from*w:l.count*w])
+	clear(l.tups[from*w : l.count*w])
+	r.count = l.count - from
+	l.count = from
+}
+
+// searchLeaf is searchKeys over l's entries.
+func (t *Tree) searchLeaf(l *leaf, key []byte, lower bool, comps *int64) int {
+	lo, hi := 0, l.count
+	for lo < hi {
+		mid := (lo + hi) / 2
+		c := compare(t.key(l, mid), key, comps)
+		if c < 0 || (!lower && c == 0) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 func (t *Tree) newInterior() *interior {
@@ -169,18 +260,12 @@ func compare(a, b []byte, n *int64) int {
 	return bytes.Compare(a, b)
 }
 
-// Insert adds tup under key.
+// Insert adds a copy of tup, which must hold key at Config.KeyOffset.
 func (t *Tree) Insert(key []byte, tup tuple.Tuple) {
-	if len(key) != t.cfg.KeyWidth {
-		panic(fmt.Sprintf("btree: key width %d, configured %d", len(key), t.cfg.KeyWidth))
-	}
-	if len(tup) != t.cfg.TupleWidth {
-		panic(fmt.Sprintf("btree: tuple width %d, configured %d", len(tup), t.cfg.TupleWidth))
-	}
+	t.checkTuple(key, tup)
 	if t.root == nil {
-		l := t.newLeaf()
-		l.keys = [][]byte{append([]byte(nil), key...)}
-		l.tups = []tuple.Tuple{tup}
+		l := t.newLeaf(t.cfg.LeafCapacity())
+		t.put(l, 0, tup)
 		t.root = l
 		t.height = 1
 		t.tuples = 1
@@ -204,25 +289,36 @@ func (t *Tree) Insert(key []byte, tup tuple.Tuple) {
 func (t *Tree) insert(n treeNode, key []byte, tup tuple.Tuple, comps *int64) (treeNode, []byte) {
 	switch n := n.(type) {
 	case *leaf:
-		i := searchKeys(n.keys, key, false, comps)
-		n.keys = append(n.keys, nil)
-		copy(n.keys[i+1:], n.keys[i:])
-		n.keys[i] = append([]byte(nil), key...)
-		n.tups = append(n.tups, nil)
-		copy(n.tups[i+1:], n.tups[i:])
-		n.tups[i] = tup
-		if len(n.keys) <= t.cfg.LeafCapacity() {
+		i := t.searchLeaf(n, key, false, comps)
+		c := t.cfg.LeafCapacity()
+		if n.count < c {
+			if n.count == t.room(n) {
+				t.resize(n, c)
+			}
+			t.put(n, i, tup)
 			return nil, nil
 		}
-		mid := len(n.keys) / 2
-		right := t.newLeaf()
-		right.keys = append(right.keys, n.keys[mid:]...)
-		right.tups = append(right.tups, n.tups[mid:]...)
-		n.keys = n.keys[:mid:mid]
-		n.tups = n.tups[:mid:mid]
+		// A full leaf splits before the insert, at the point splitting
+		// its count+1 entries after the insert would pick, so the tree
+		// takes the same shape: the left leaf keeps the first mid. The
+		// half the new entry does not join is trimmed to its entries: in
+		// an ascending (or descending) load no entry ever joins it again,
+		// and a full-page array would sit half empty.
+		mid := (n.count + 1) / 2
+		var right *leaf
+		if i < mid {
+			right = t.newLeaf(n.count - (mid - 1))
+			t.moveTail(n, mid-1, right)
+			t.put(n, i, tup)
+		} else {
+			right = t.newLeaf(c)
+			t.moveTail(n, mid, right)
+			t.put(right, i-mid, tup)
+			t.resize(n, mid)
+		}
 		right.next = n.next
 		n.next = right
-		return right, right.keys[0]
+		return right, slices.Clone(t.key(right, 0))
 	case *interior:
 		ci := childIndex(n, key, comps)
 		split, sepKey := t.insert(n.children[ci], key, tup, comps)
@@ -275,9 +371,9 @@ func childIndex(n *interior, key []byte, comps *int64) int {
 	return searchKeys(n.keys, key, true, comps)
 }
 
-// Search returns all tuples stored under key and the key comparisons this
-// call made (descent plus leaf). Each inspected page is reported to visit
-// (which may be nil).
+// Search returns copies of all tuples stored under key, which stay valid
+// across later mutations, and the key comparisons this call made (descent
+// plus leaf). Each inspected page is reported to visit (which may be nil).
 func (t *Tree) Search(key []byte, visit VisitFunc) (out []tuple.Tuple, comps int64) {
 	defer func() { t.comps.Add(comps) }()
 	if t.root == nil {
@@ -295,16 +391,18 @@ func (t *Tree) Search(key []byte, visit VisitFunc) (out []tuple.Tuple, comps int
 		n = in.children[childIndex(in, key, &comps)]
 	}
 	l := n.(*leaf)
-	i := searchKeys(l.keys, key, true, &comps)
+	i := t.searchLeaf(l, key, true, &comps)
+	var buf []byte
+scan:
 	for {
-		for ; i < len(l.keys); i++ {
-			if compare(l.keys[i], key, &comps) != 0 {
-				return out, comps
+		for ; i < l.count; i++ {
+			if compare(t.key(l, i), key, &comps) != 0 {
+				break scan
 			}
-			out = append(out, l.tups[i])
+			buf = append(buf, t.tup(l, i)...)
 		}
 		if l.next == nil {
-			return out, comps
+			break
 		}
 		l = l.next
 		if visit != nil {
@@ -312,12 +410,19 @@ func (t *Tree) Search(key []byte, visit VisitFunc) (out []tuple.Tuple, comps int
 		}
 		i = 0
 	}
+	w := t.cfg.TupleWidth
+	for j := 0; j < len(buf); j += w {
+		out = append(out, tuple.Tuple(buf[j:j+w:j+w]))
+	}
+	return out, comps
 }
 
 // AscendRange walks tuples with key >= start in key order, calling fn until
 // it returns false, and returns the key comparisons its descent to start
 // made. A nil start walks from the smallest key. Each touched page
-// (descent path plus every leaf visited) is reported to visit.
+// (descent path plus every leaf visited) is reported to visit. The key
+// and tuple passed to fn are views into the leaf, valid only during the
+// call, as a heap scan's are; Clone to retain.
 func (t *Tree) AscendRange(start []byte, visit VisitFunc, fn func(key []byte, tup tuple.Tuple) bool) (comps int64) {
 	defer func() { t.comps.Add(comps) }()
 	if t.root == nil {
@@ -341,11 +446,11 @@ func (t *Tree) AscendRange(start []byte, visit VisitFunc, fn func(key []byte, tu
 	l := n.(*leaf)
 	i := 0
 	if start != nil {
-		i = searchKeys(l.keys, start, true, &comps)
+		i = t.searchLeaf(l, start, true, &comps)
 	}
 	for {
-		for ; i < len(l.keys); i++ {
-			if !fn(l.keys[i], l.tups[i]) {
+		for ; i < l.count; i++ {
+			if !fn(t.key(l, i), t.tup(l, i)) {
 				return comps
 			}
 		}
@@ -386,13 +491,13 @@ func (t *Tree) find(key []byte, tup tuple.Tuple, comps *int64) (path []step, l *
 		n = in.children[ci]
 	}
 	l = n.(*leaf)
-	i = searchKeys(l.keys, key, true, comps)
+	i = t.searchLeaf(l, key, true, comps)
 	for {
-		for ; i < len(l.keys); i++ {
-			if compare(l.keys[i], key, comps) != 0 {
+		for ; i < l.count; i++ {
+			if compare(t.key(l, i), key, comps) != 0 {
 				return nil, nil, 0, false
 			}
-			if bytes.Equal(l.tups[i], tup) {
+			if bytes.Equal(t.tup(l, i), tup) {
 				return path, l, i, true
 			}
 		}
@@ -438,23 +543,24 @@ func (t *Tree) Remove(key []byte, tup tuple.Tuple) bool {
 	if !ok {
 		return false
 	}
-	l.keys = slices.Delete(l.keys, i, i+1)
-	l.tups = slices.Delete(l.tups, i, i+1)
+	t.del(l, i)
 	t.tuples--
-	if len(l.keys) == 0 {
+	if l.count == 0 {
 		t.unlink(path, l)
 	}
 	return true
 }
 
-// Replace swaps the tuple of one entry under key equal to old for tup, in
-// place, and reports whether there was one. tup must carry the same key.
+// Replace overwrites the tuple of one entry under key equal to old with a
+// copy of tup, in place, and reports whether there was one. tup must hold
+// the same key.
 func (t *Tree) Replace(key []byte, old, tup tuple.Tuple) bool {
+	t.checkTuple(key, tup)
 	var comps int64
 	defer func() { t.comps.Add(comps) }()
 	_, l, i, ok := t.find(key, old, &comps)
 	if ok {
-		l.tups[i] = tup
+		copy(t.tup(l, i), tup)
 	}
 	return ok
 }
@@ -506,7 +612,7 @@ func (t *Tree) unlink(path []step, l *leaf) {
 }
 
 // Clone returns an independent copy of the tree with the same shape and
-// page IDs. Stored tuples are shared; the tree never mutates them.
+// page IDs.
 func (t *Tree) Clone() *Tree {
 	c := &Tree{cfg: t.cfg, height: t.height, tuples: t.tuples, leaves: t.leaves,
 		interiors: t.interiors, nextPage: t.nextPage}
@@ -514,7 +620,7 @@ func (t *Tree) Clone() *Tree {
 	var clone func(treeNode) treeNode
 	clone = func(n treeNode) treeNode {
 		if l, ok := n.(*leaf); ok {
-			cl := &leaf{id: l.id, keys: slices.Clone(l.keys), tups: slices.Clone(l.tups)}
+			cl := &leaf{id: l.id, count: l.count, tups: slices.Clone(l.tups)}
 			if prev != nil {
 				prev.next = cl
 			}
@@ -535,8 +641,8 @@ func (t *Tree) Clone() *Tree {
 }
 
 // BulkLoad builds a tree from tuples already sorted by key, packing leaves
-// and interior nodes to the given fill factor (0 means YaoFill). It
-// replaces the tree contents.
+// and interior nodes to the given fill factor (0 means YaoFill). keys[i]
+// must be the key tups[i] holds. It replaces the tree contents.
 func (t *Tree) BulkLoad(keys [][]byte, tups []tuple.Tuple, fill float64) error {
 	if len(keys) != len(tups) {
 		return fmt.Errorf("btree: %d keys but %d tuples", len(keys), len(tups))
@@ -547,8 +653,11 @@ func (t *Tree) BulkLoad(keys [][]byte, tups []tuple.Tuple, fill float64) error {
 	if fill <= 0 || fill > 1 {
 		return fmt.Errorf("btree: fill factor %g out of (0,1]", fill)
 	}
-	for i := 1; i < len(keys); i++ {
-		if bytes.Compare(keys[i-1], keys[i]) > 0 {
+	for i := range keys {
+		if len(tups[i]) != t.cfg.TupleWidth || !bytes.Equal(keys[i], t.keyOf(tups[i])) {
+			return fmt.Errorf("btree: bulk load entry %d is not a %d-byte tuple holding key %x", i, t.cfg.TupleWidth, keys[i])
+		}
+		if i > 0 && bytes.Compare(keys[i-1], keys[i]) > 0 {
 			return fmt.Errorf("btree: bulk load input not sorted at %d", i)
 		}
 	}
@@ -568,17 +677,16 @@ func (t *Tree) BulkLoad(keys [][]byte, tups []tuple.Tuple, fill float64) error {
 		if j > len(keys) {
 			j = len(keys)
 		}
-		l := t.newLeaf()
+		l := t.newLeaf(t.cfg.LeafCapacity())
 		for k := i; k < j; k++ {
-			l.keys = append(l.keys, append([]byte(nil), keys[k]...))
-			l.tups = append(l.tups, tups[k])
+			t.put(l, k-i, tups[k])
 		}
 		if prev != nil {
 			prev.next = l
 		}
 		prev = l
 		level = append(level, l)
-		seps = append(seps, l.keys[0])
+		seps = append(seps, slices.Clone(keys[i]))
 	}
 	t.tuples = len(keys)
 	t.height = 1
@@ -615,7 +723,9 @@ func (t *Tree) BulkLoad(keys [][]byte, tups []tuple.Tuple, fill float64) error {
 }
 
 // CheckInvariants verifies ordering, uniform leaf depth, separator bounds,
-// the leaf chain, that no empty leaf stays linked and that the page counts
+// the leaf chain, that no empty leaf stays linked, that every leaf's
+// array has room for a whole number of tuples, between its count and
+// LeafCapacity, with the unused slots zero, and that the page counts
 // match the reachable nodes. Intended for tests.
 func (t *Tree) CheckInvariants() error {
 	if t.root == nil {
@@ -638,16 +748,22 @@ func (t *Tree) CheckInvariants() error {
 				return fmt.Errorf("btree: leaf at depth %d, expected %d", d, depth)
 			}
 			leaves++
-			if len(n.keys) != len(n.tups) {
-				return fmt.Errorf("btree: leaf with %d keys, %d tuples", len(n.keys), len(n.tups))
+			c, r := t.cfg.LeafCapacity(), t.room(n)
+			if len(n.tups) != r*t.cfg.TupleWidth {
+				return fmt.Errorf("btree: leaf %d array holds %d bytes, not whole %d-byte tuples",
+					n.id, len(n.tups), t.cfg.TupleWidth)
 			}
-			if len(n.keys) == 0 {
+			if n.count == 0 {
 				return fmt.Errorf("btree: empty leaf %d still linked", n.id)
 			}
-			if len(n.keys) > t.cfg.LeafCapacity() {
-				return fmt.Errorf("btree: overfull leaf (%d > %d)", len(n.keys), t.cfg.LeafCapacity())
+			if n.count > r || r > c {
+				return fmt.Errorf("btree: leaf %d holds %d entries in room for %d, capacity %d", n.id, n.count, r, c)
 			}
-			for _, k := range n.keys {
+			if slices.ContainsFunc(n.tups[n.count*t.cfg.TupleWidth:], func(b byte) bool { return b != 0 }) {
+				return fmt.Errorf("btree: leaf %d has a stale entry past its %d live ones", n.id, n.count)
+			}
+			for i := 0; i < n.count; i++ {
+				k := t.key(n, i)
 				if lastKey != nil && bytes.Compare(lastKey, k) > 0 {
 					return fmt.Errorf("btree: keys out of order: %x then %x", lastKey, k)
 				}

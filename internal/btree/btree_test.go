@@ -32,6 +32,13 @@ func tup(k, v int64) tuple.Tuple {
 	return t
 }
 
+// wideTup returns a w-byte tuple holding key(k) in its first bytes.
+func wideTup(k int64, w int) tuple.Tuple {
+	t := make(tuple.Tuple, w)
+	copy(t, key(k))
+	return t
+}
+
 func search(tr *Tree, k []byte) []tuple.Tuple {
 	got, _ := tr.Search(k, nil)
 	return got
@@ -215,7 +222,7 @@ func TestComparisonsAreLogarithmic(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	const n = 50000
 	for _, k := range rng.Perm(n) {
-		tr.Insert(key(int64(k)), make(tuple.Tuple, 100))
+		tr.Insert(key(int64(k)), wideTup(int64(k), 100))
 	}
 	tr.ResetComparisons()
 	const lookups = 1000

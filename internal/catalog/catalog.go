@@ -36,21 +36,23 @@ func (k IndexKind) String() string {
 type Index interface {
 	// Kind returns the access method.
 	Kind() IndexKind
-	// Insert adds a tuple under its key.
+	// Insert adds a tuple under its key. The index keeps copies of both,
+	// so the caller may pass views (a scan's, a page's) and reuse them.
 	Insert(key []byte, tup tuple.Tuple)
 	// Remove deletes one entry under key whose tuple equals tup and
 	// reports whether there was one.
 	Remove(key []byte, tup tuple.Tuple) bool
-	// Replace swaps the tuple of one entry under key equal to old for tup
-	// (which carries the same key), in place, reporting whether there was
-	// one.
+	// Replace swaps the tuple of one entry under key equal to old for a
+	// copy of tup (which carries the same key), in place, reporting
+	// whether there was one.
 	Replace(key []byte, old, tup tuple.Tuple) bool
 	// Search returns the tuples stored under key and the key comparisons
-	// the probe made.
+	// the probe made. The tuples must not be modified.
 	Search(key []byte) ([]tuple.Tuple, int64)
 	// Ascend walks tuples with key >= start in order until fn returns
 	// false; nil start walks everything. It returns the key comparisons
-	// the walk's positioning made (fn's own work is the caller's).
+	// the walk's positioning made (fn's own work is the caller's). The
+	// key and tuple passed to fn are valid only during the call.
 	Ascend(start []byte, fn func(key []byte, tup tuple.Tuple) bool) int64
 	// Len returns the number of indexed tuples.
 	Len() int
@@ -87,13 +89,13 @@ type avlIndex struct{ t *avl.Tree }
 
 func (a avlIndex) Kind() IndexKind { return AVL }
 func (a avlIndex) Insert(key []byte, tup tuple.Tuple) {
-	a.t.Insert(key, tup)
+	a.t.Insert(key, tup.Clone())
 }
 func (a avlIndex) Remove(key []byte, tup tuple.Tuple) bool {
 	return a.t.Remove(key, tup)
 }
 func (a avlIndex) Replace(key []byte, old, tup tuple.Tuple) bool {
-	return a.t.Replace(key, old, tup)
+	return a.t.Replace(key, old, tup.Clone())
 }
 func (a avlIndex) Search(key []byte) ([]tuple.Tuple, int64) {
 	return a.t.Search(key, nil)
@@ -299,6 +301,7 @@ func (c *Catalog) BuildIndex(name string, col int, kind IndexKind) (Index, error
 		t, err := btree.New(btree.Config{
 			PageSize:   c.disk.PageSize(),
 			KeyWidth:   schema.FieldWidth(col),
+			KeyOffset:  schema.Offset(col),
 			TupleWidth: schema.Width(),
 		})
 		if err != nil {
@@ -311,7 +314,7 @@ func (c *Catalog) BuildIndex(name string, col int, kind IndexKind) (Index, error
 		return nil, fmt.Errorf("catalog: unknown index kind %d", int(kind))
 	}
 	err = r.File.Scan(simio.Uncharged, func(t tuple.Tuple) bool {
-		ix.Insert(schema.KeyBytes(t, col), t.Clone())
+		ix.Insert(schema.KeyBytes(t, col), t)
 		return true
 	})
 	if err != nil {

@@ -68,12 +68,11 @@ func runPagedTrees() ([]PagedTreeRow, error) {
 		if order == "random" {
 			rng.Shuffle(n, func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
 		}
-		tup := schema.MustEncode(tuple.IntValue(0), tuple.StringValue("x"))
-
 		at := &avl.Tree{}
 		bt := btree.MustNew(btree.Config{PageSize: P, KeyWidth: 8, TupleWidth: L})
 		pt := pbtree.MustNew(pbtree.Config{PageSize: P, TupleWidth: L})
 		for _, k := range keys {
+			tup := schema.MustEncode(tuple.IntValue(int64(k)), tuple.StringValue("x"))
 			at.Insert(keyBytes(k), tup)
 			bt.Insert(keyBytes(k), tup)
 			pt.Insert(keyBytes(k), tup)
@@ -139,7 +138,9 @@ func runPolicies() ([]PolicyRow, error) {
 	}
 	perm := rng.Perm(n)
 	for _, k := range perm {
-		bt.Insert(keyBytes(k), make(tuple.Tuple, 100))
+		tup := make(tuple.Tuple, 100)
+		copy(tup, keyBytes(k))
+		bt.Insert(keyBytes(k), tup)
 	}
 	var rows []PolicyRow
 	for _, h := range []float64{0.25, 0.5} {

@@ -14,10 +14,13 @@ import (
 )
 
 // File is a paged sequence of fixed-width tuples. Appends are buffered one
-// page at a time; Flush writes the final partial page. Mutation (Append,
-// Flush, Drop, Rewrite) is not safe for concurrent use, but read-only
-// Scans of a flushed file may run concurrently — the parallel join workers
-// rely on this when each scans its own partition file.
+// page at a time; Flush writes the final partial page. An uncharged
+// Append after a Flush reopens that partial page rather than starting a
+// new one, so a relation written a few rows at a time still fills its
+// pages. Mutation (Append, Flush, Drop, Rewrite) is not safe for
+// concurrent use, but read-only Scans of a flushed file may run
+// concurrently — the parallel join workers rely on this when each scans
+// its own partition file.
 type File struct {
 	disk   *simio.Disk
 	space  *simio.Space
@@ -109,10 +112,19 @@ func (f *File) Packed() int { return f.packed }
 func (f *File) TuplesPerPage() int { return f.cur.Capacity() }
 
 // Append adds t to the file. Full pages are written with the given access
-// kind.
+// kind. An uncharged Append into an empty buffer first reopens the last
+// flushed page when it is the file's only partial one (Packed() ==
+// NumPages()-1): the page moves back into the buffer, to be written again
+// by the next Flush. Charged appends — sort runs, partitions, spills —
+// never reopen a page, so they cost what the paper's model says.
 func (f *File) Append(t tuple.Tuple, a simio.Access) error {
 	if len(t) != f.schema.Width() {
 		return fmt.Errorf("heap: tuple width %d does not match schema width %d", len(t), f.schema.Width())
+	}
+	if a == simio.Uncharged && f.cur.Count() == 0 {
+		if err := f.reopenTail(); err != nil {
+			return err
+		}
 	}
 	if !f.cur.Append(t) {
 		if err := f.writeCur(a); err != nil {
@@ -121,6 +133,22 @@ func (f *File) Append(t tuple.Tuple, a simio.Access) error {
 		f.cur.Append(t)
 	}
 	f.tuples++
+	return nil
+}
+
+// reopenTail moves the last flushed page back into the empty append
+// buffer when it is the file's only partial page.
+func (f *File) reopenTail() error {
+	last := f.space.NumPages() - 1
+	if last < 0 || f.packed != last {
+		return nil
+	}
+	data, err := f.space.Read(last, simio.Uncharged)
+	if err != nil {
+		return err
+	}
+	copy(f.cur.Bytes(), data)
+	f.space.Truncate(last)
 	return nil
 }
 

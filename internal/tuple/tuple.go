@@ -219,16 +219,28 @@ func Compare(a, b Value) int {
 // Encode writes the values into a fresh tuple. The number and kinds of the
 // values must match the schema.
 func (s *Schema) Encode(values ...Value) (Tuple, error) {
-	if len(values) != len(s.fields) {
-		return nil, fmt.Errorf("tuple: schema has %d fields, got %d values", len(s.fields), len(values))
-	}
 	t := make(Tuple, s.width)
-	for i, v := range values {
-		if err := s.Set(t, i, v); err != nil {
-			return nil, err
-		}
+	if err := s.EncodeTo(t, values...); err != nil {
+		return nil, err
 	}
 	return t, nil
+}
+
+// EncodeTo writes the values over every byte of t, which must be the
+// schema's width: Encode into a caller's buffer.
+func (s *Schema) EncodeTo(t Tuple, values ...Value) error {
+	if len(t) != s.width {
+		return fmt.Errorf("tuple: encoding into %d bytes, schema width %d", len(t), s.width)
+	}
+	if len(values) != len(s.fields) {
+		return fmt.Errorf("tuple: schema has %d fields, got %d values", len(s.fields), len(values))
+	}
+	for i, v := range values {
+		if err := s.Set(t, i, v); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // MustEncode is Encode that panics on error, for tests and generators.

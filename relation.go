@@ -76,17 +76,45 @@ func (r *Relation) InsertTuple(t Tuple) error {
 		if err := r.rel.File.Append(t, simio.Uncharged); err != nil {
 			return err
 		}
-		schema := r.Schema()
-		for _, col := range r.rel.IndexedColumns() {
-			ix, _ := r.rel.Index(col)
-			ix.Insert(schema.KeyBytes(t, col), t.Clone())
-		}
+		r.indexRows([]Tuple{t})
 		// Ship inside the intent so replication order is the primary's
 		// serialization order (likewise in every mutation below). A
 		// refused ship — this node was demoted mid-call — fails the
 		// statement: the write is not acknowledged.
 		return r.db.shipOp(r.applier, shipOp{kind: opInsert, rel: r.Name(), tuple: t.Clone()})
 	})
+}
+
+// insertRows appends encoded rows, maintains the indexes and flushes as
+// one unit: one exclusive intent and one opInsertBatch record, so a
+// promotion fence either refuses the statement before any row lands or
+// lets all of it through. The rows become the record's and must not be
+// changed afterwards.
+func (r *Relation) insertRows(rows []Tuple) error {
+	return r.withIntent(lock.Exclusive, func() error {
+		for _, t := range rows {
+			if err := r.rel.File.Append(t, simio.Uncharged); err != nil {
+				return err
+			}
+		}
+		if err := r.rel.File.Flush(simio.Uncharged); err != nil {
+			return err
+		}
+		r.indexRows(rows)
+		return r.db.shipOp(r.applier, shipOp{kind: opInsertBatch, rel: r.Name(), tuples: rows})
+	})
+}
+
+// indexRows adds rows to every index on the relation, in order. The
+// indexes keep their own copies. The caller holds the exclusive intent.
+func (r *Relation) indexRows(rows []Tuple) {
+	schema := r.Schema()
+	for _, col := range r.rel.IndexedColumns() {
+		ix, _ := r.rel.Index(col)
+		for _, t := range rows {
+			ix.Insert(schema.KeyBytes(t, col), t)
+		}
+	}
 }
 
 // Flush writes any buffered partial page.
@@ -275,10 +303,10 @@ func (r *Relation) rewrite(pred expr.Predicate, fn func(Tuple) Tuple) (int64, er
 			case out == nil:
 				ix.Remove(key, t)
 			case bytes.Equal(key, schema.KeyBytes(out, col)):
-				ix.Replace(key, t, out.Clone())
+				ix.Replace(key, t, out)
 			default:
 				ix.Remove(key, t)
-				ix.Insert(schema.KeyBytes(out, col), out.Clone())
+				ix.Insert(schema.KeyBytes(out, col), out)
 			}
 		}
 	}

@@ -571,19 +571,26 @@ func (s *Session) execPlanned(b *sqlfront.BoundSelect, outSchema *Schema) (*SQLR
 	return &SQLResult{Schema: outSchema, Rows: rows}, nil
 }
 
-// execInsert appends the bound rows (uncharged, index-maintaining — the
-// Relation.Insert convention) and flushes once.
+// execInsert encodes every bound row first, into one buffer, then appends
+// them all (uncharged, index-maintaining — the Relation.Insert
+// convention) and flushes as one unit: all rows or none, one replication
+// record.
 func (s *Session) execInsert(b *sqlfront.BoundInsert) (*SQLResult, error) {
 	rel, err := s.db.Relation(b.Table.Name)
 	if err != nil {
 		return nil, err
 	}
-	for _, row := range b.Rows {
-		if err := rel.Insert(row...); err != nil {
+	schema := rel.Schema()
+	w := schema.Width()
+	buf := make([]byte, len(b.Rows)*w)
+	rows := make([]Tuple, len(b.Rows))
+	for i, row := range b.Rows {
+		rows[i] = Tuple(buf[i*w : (i+1)*w : (i+1)*w])
+		if err := schema.EncodeTo(rows[i], row...); err != nil {
 			return nil, err
 		}
 	}
-	if err := rel.Flush(); err != nil {
+	if err := rel.insertRows(rows); err != nil {
 		return nil, err
 	}
 	return &SQLResult{Affected: int64(len(b.Rows))}, nil
